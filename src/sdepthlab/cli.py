@@ -9,6 +9,7 @@ to --out (and to stdout under --format structured).  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -39,13 +40,14 @@ from .partitions import (
 )
 from .posets import alpha_formula, build_poset, default_box
 from .structure import (
+    MkiRow,
+    SweepRow,
     conjecture_sweep,
     ideal_saturation_report,
     ideal_vs_quotient_report,
     janet_decomposition,
     mki_sweep,
-    mki_rows_to_csv,
-    sweep_rows_to_csv,
+    rows_to_csv,
 )
 
 
@@ -56,9 +58,7 @@ class RunConfig:
     input_j_path: str | None = None
     g_override: tuple[int, ...] | None = None
     arity: int | None = None
-    target_s: int | None = None
     timeout_s: float = 60.0
-    threads: int = 1
     cache_dir: str | None = None
     out_path: str | None = None
     output_format: str = "text"
@@ -73,8 +73,6 @@ class RunConfig:
     def __post_init__(self):
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.threads < 1:
-            raise ValueError("thread count must be >= 1")
 
 
 def _parse_g(value: str) -> tuple[int, ...]:
@@ -85,6 +83,14 @@ def _parse_g(value: str) -> tuple[int, ...]:
     if any(p < 0 for p in parts):
         raise argparse.ArgumentTypeError("--g entries must be nonnegative")
     return parts
+
+
+def _add_budget(sp) -> None:
+    sp.add_argument("--timeout", type=float, default=60.0,
+                    help="wall-clock budget in seconds for each Stanley "
+                         "depth computation, all of its targets together")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored: the search runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,9 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         if search:
             sp.add_argument("--g", type=_parse_g, default=None, metavar="K1,...,KN",
                             help="box corner override")
-            sp.add_argument("--timeout", type=float, default=60.0,
-                            help="per-decision wall clock budget in seconds")
-            sp.add_argument("--threads", type=int, default=1)
+            _add_budget(sp)
         sp.add_argument("--cache", default=None, help="cache directory")
         sp.add_argument("--out", default=None, help="write the document here")
         sp.add_argument("--format", choices=("text", "structured"),
@@ -133,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     conj.add_argument("--n-max", type=int, default=4)
     conj.add_argument("--k-min", type=int, default=1)
     conj.add_argument("--k-max", type=int, default=3)
-    conj.add_argument("--timeout", type=float, default=60.0)
-    conj.add_argument("--threads", type=int, default=1)
+    _add_budget(conj)
     add_common(conj, needs_input=False, search=False)
 
     mki = sub.add_parser("mki", help="sweep of |G(m^k I)| and sdepth(m^k I)")
@@ -151,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError("thread count must be >= 1")
     return RunConfig(
         command=args.command,
         input_path=getattr(args, "input", None),
@@ -158,7 +163,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         g_override=getattr(args, "g", None),
         arity=getattr(args, "arity", None),
         timeout_s=getattr(args, "timeout", 60.0),
-        threads=getattr(args, "threads", 1),
         cache_dir=getattr(args, "cache", None),
         out_path=getattr(args, "out", None),
         output_format=getattr(args, "format", "text"),
@@ -247,15 +251,14 @@ def _emit(config: RunConfig, document, summary_lines) -> None:
 def _cached(config: RunConfig, key_payload: dict, compute):
     """Run `compute` through the cache when one is configured."""
     if config.cache_dir is None:
-        return compute(), None
+        return compute()
     cache = ResultCache(config.cache_dir)
     key = content_key({"engine": ENGINE_VERSION, **key_payload})
     payload = cache.load(key)
-    if payload is not None:
-        return payload, "hit"
-    payload = compute()
-    cache.store(key, payload)
-    return payload, "miss"
+    if payload is None:
+        payload = compute()
+        cache.store(key, payload)
+    return payload
 
 
 def _cert_summary(document: dict) -> list[str]:
@@ -269,46 +272,27 @@ def _cert_summary(document: dict) -> list[str]:
     ]
 
 
-def cmd_sdepth(config: RunConfig) -> int:
-    ideal, _ = _load_ideals(config)
-    g = config.g_override or default_box(ideal, zero_ideal(ideal.arity))
-    start = time.perf_counter()
-
-    def compute():
-        cert = sdepth_ideal(ideal, g=config.g_override,
-                            timeout_s=config.timeout_s, threads=config.threads)
-        return certificate_document(cert)
-
-    document, _ = _cached(config, {
-        "command": "sdepth",
-        "ideal": ideal_to_structured(ideal),
-        "g": list(g),
-        "timeout": config.timeout_s,
-    }, compute)
-    _emit(config, document, _cert_summary(document))
-    if config.output_format == "text":
-        print(f"elapsed_ms: {int((time.perf_counter() - start) * 1000)}")
-    return 0
-
-
-def cmd_quotient(config: RunConfig) -> int:
+def cmd_certificate(config: RunConfig) -> int:
+    """`sdepth` (of an ideal I) and `quotient` (of I/J): a certified value."""
     numerator, denominator = _load_ideals(config)
-    g = config.g_override or default_box(numerator, denominator)
     start = time.perf_counter()
+    if denominator is None:
+        solve = functools.partial(sdepth_ideal, numerator)
+        key = {"command": "sdepth", "ideal": ideal_to_structured(numerator)}
+        denominator = zero_ideal(numerator.arity)
+    else:
+        solve = functools.partial(sdepth_quotient, numerator, denominator)
+        key = {"command": "quotient",
+               "numerator": ideal_to_structured(numerator),
+               "denominator": ideal_to_structured(denominator)}
+    key["g"] = list(config.g_override or default_box(numerator, denominator))
+    key["timeout"] = config.timeout_s
 
     def compute():
-        cert = sdepth_quotient(numerator, denominator, g=config.g_override,
-                               timeout_s=config.timeout_s,
-                               threads=config.threads)
-        return certificate_document(cert)
+        return certificate_document(solve(g=config.g_override,
+                                          timeout_s=config.timeout_s))
 
-    document, _ = _cached(config, {
-        "command": "quotient",
-        "numerator": ideal_to_structured(numerator),
-        "denominator": ideal_to_structured(denominator),
-        "g": list(g),
-        "timeout": config.timeout_s,
-    }, compute)
+    document = _cached(config, key, compute)
     _emit(config, document, _cert_summary(document))
     if config.output_format == "text":
         print(f"elapsed_ms: {int((time.perf_counter() - start) * 1000)}")
@@ -331,7 +315,7 @@ def cmd_sat(config: RunConfig) -> int:
             "sdepth_zero_quotient": not report.is_saturated,
         }
 
-    document, _ = _cached(config, {
+    document = _cached(config, {
         "command": "sat", "ideal": ideal_to_structured(ideal),
     }, compute)
     witness = document["witness"]
@@ -393,11 +377,10 @@ def cmd_conjecture(config: RunConfig) -> int:
     def compute():
         rows = conjecture_sweep(range(config.n_min, config.n_max + 1),
                                 range(config.k_min, config.k_max + 1),
-                                timeout_s=config.timeout_s,
-                                threads=config.threads)
-        return sweep_rows_to_csv(rows)
+                                timeout_s=config.timeout_s)
+        return rows_to_csv(SweepRow, rows)
 
-    document, _ = _cached(config, {
+    document = _cached(config, {
         "command": "conjecture",
         "n": [config.n_min, config.n_max],
         "k": [config.k_min, config.k_max],
@@ -412,10 +395,10 @@ def cmd_mki(config: RunConfig) -> int:
 
     def compute():
         rows = mki_sweep(ideal, range(config.k_min, config.k_max + 1),
-                         timeout_s=config.timeout_s, threads=config.threads)
-        return mki_rows_to_csv(rows)
+                         timeout_s=config.timeout_s)
+        return rows_to_csv(MkiRow, rows)
 
-    document, _ = _cached(config, {
+    document = _cached(config, {
         "command": "mki",
         "ideal": ideal_to_structured(ideal),
         "k": [config.k_min, config.k_max],
@@ -429,8 +412,7 @@ def cmd_remark17(config: RunConfig) -> int:
     ideal, _ = _load_ideals(config)
 
     def compute():
-        report = ideal_vs_quotient_report(ideal, timeout_s=config.timeout_s,
-                                          threads=config.threads)
+        report = ideal_vs_quotient_report(ideal, timeout_s=config.timeout_s)
         return {
             "schema": "sdepth-comparison@1",
             "engine": ENGINE_VERSION,
@@ -441,7 +423,7 @@ def cmd_remark17(config: RunConfig) -> int:
             "inequality_holds": report.inequality_holds,
         }
 
-    document, _ = _cached(config, {
+    document = _cached(config, {
         "command": "remark17",
         "ideal": ideal_to_structured(ideal),
         "timeout": config.timeout_s,
@@ -490,8 +472,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 _DISPATCH = {
-    "sdepth": cmd_sdepth,
-    "quotient": cmd_quotient,
+    "sdepth": cmd_certificate,
+    "quotient": cmd_certificate,
     "sat": cmd_sat,
     "janet": cmd_janet,
     "alpha": cmd_alpha,

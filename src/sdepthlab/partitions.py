@@ -22,24 +22,23 @@ is re-checked by an independent marking verifier before it is returned.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    QuotientPresentation,
     contains,
     divides,
-    maximal_power,
+    maximal_power,  # noqa: F401  (public name, wrapped by perfbench/tracing.py)
 )
 from .posets import CharPoset, build_poset, default_box
 
 
 class SearchTimeout(Exception):
-    """The wall-clock budget of a decision call ran out.
+    """The wall-clock budget of a decision call or a target scan ran out.
 
     Distinct from infeasibility: no conclusion about the target is implied.
     """
@@ -94,7 +93,9 @@ class SdepthCertificate:
 
 
 @dataclass(frozen=True)
-class PartitionCheck:
+class CheckResult:
+    """Verdict of a certificate checker; false with a reason on failure."""
+
     ok: bool
     reason: str = ""
 
@@ -246,7 +247,7 @@ class _Searcher:
             stats.nodes += 1
             if time.monotonic() > deadline:
                 raise SearchTimeout(
-                    f"decision at target {s} exceeded {timeout_s:g}s", stats)
+                    f"time ran out with target {s} open", stats)
             if use_prune and not self.budget_feasible(uncovered, s):
                 stats.prunes += 1
                 return None
@@ -360,7 +361,7 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
 
 
 def verify_partition(poset: CharPoset, partition: IntervalPartition,
-                     s: int) -> PartitionCheck:
+                     s: int) -> CheckResult:
     """Independent certificate checker: interval containment in the poset,
     pairwise disjointness, exact cover, and min rank of tops >= s.  Linear
     in the poset size, by marking; never trusts solver internals."""
@@ -368,26 +369,26 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
     for interval in partition:
         bottom, top = tuple(interval.bottom), tuple(interval.top)
         if bottom not in poset:
-            return PartitionCheck(False, f"bottom {bottom} is not a poset element")
+            return CheckResult(False, f"bottom {bottom} is not a poset element")
         if top not in poset:
-            return PartitionCheck(False, f"top {top} is not a poset element")
+            return CheckResult(False, f"top {top} is not a poset element")
         if not divides(bottom, top):
-            return PartitionCheck(False, f"bottom {bottom} does not divide top {top}")
+            return CheckResult(False, f"bottom {bottom} does not divide top {top}")
         if poset.rho(top) < s:
-            return PartitionCheck(
+            return CheckResult(
                 False, f"top {top} has rank {poset.rho(top)} < {s}")
         for w in itertools.product(*(range(a, b + 1)
                                      for a, b in zip(bottom, top))):
             if w not in poset:
-                return PartitionCheck(
+                return CheckResult(
                     False, f"interval [{bottom}, {top}] leaves the poset at {w}")
             if w in seen:
-                return PartitionCheck(False, f"double cover at {w}")
+                return CheckResult(False, f"double cover at {w}")
             seen.add(w)
     if len(seen) != len(poset):
         missing = next(u for u in poset.elements if u not in seen)
-        return PartitionCheck(False, f"uncovered element {missing}")
-    return PartitionCheck(True)
+        return CheckResult(False, f"uncovered element {missing}")
+    return CheckResult(True)
 
 
 def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
@@ -406,10 +407,14 @@ def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
 
 
 def sdepth_poset(poset: CharPoset, *, timeout_s: float = 60.0,
-                 use_prune: bool = True, upper_bound: int | None = None,
-                 threads: int = 1) -> SdepthCertificate:
+                 use_prune: bool = True,
+                 upper_bound: int | None = None) -> SdepthCertificate:
     """Maximize s by descending scan from the upper bound; the first
-    feasible target wins and its partition is the certificate."""
+    feasible target wins and its partition is the certificate.
+
+    `timeout_s` bounds the whole scan: each decision gets only the time
+    left by the ones before it, and SearchTimeout names the open target.
+    """
     if len(poset) == 0:
         raise ValueError("the poset is empty (the quotient module is zero)")
     searcher = _get_searcher(poset)
@@ -418,11 +423,19 @@ def sdepth_poset(poset: CharPoset, *, timeout_s: float = 60.0,
         ub = min(ub, upper_bound)
     start = time.monotonic()
     total = SearchStats()
-    if threads > 1:
-        result = _scan_parallel(poset, ub, timeout_s, use_prune, threads, total)
+    remaining = timeout_s
+    for s in range(ub, -1, -1):
+        stats = SearchStats()
+        try:
+            partition = exists_partition(poset, s, timeout_s=remaining,
+                                         use_prune=use_prune, stats=stats)
+        finally:
+            total.merge(stats)
+        if partition is not None:
+            break
+        remaining = timeout_s - (time.monotonic() - start)
     else:
-        result = _scan_sequential(poset, ub, timeout_s, use_prune, total)
-    s, partition = result
+        raise AssertionError("target 0 is always feasible on a nonempty poset")
     total.elapsed_s = time.monotonic() - start
     check = verify_partition(poset, partition, s)
     if not check:
@@ -434,62 +447,25 @@ def sdepth_poset(poset: CharPoset, *, timeout_s: float = 60.0,
     return SdepthCertificate(s, partition, total, poset)
 
 
-def _scan_sequential(poset, ub, timeout_s, use_prune, total):
-    for s in range(ub, -1, -1):
-        stats = SearchStats()
-        try:
-            partition = exists_partition(poset, s, timeout_s=timeout_s,
-                                         use_prune=use_prune, stats=stats)
-        finally:
-            total.merge(stats)
-        if partition is not None:
-            return s, partition
-    raise AssertionError("target 0 is always feasible on a nonempty poset")
-
-
-def _scan_parallel(poset, ub, timeout_s, use_prune, threads, total):
-    """Decide all targets concurrently.  The returned value and partition
-    are identical to the sequential scan; only the stats may differ."""
-    targets = list(range(ub, -1, -1))
-
-    def run(s):
-        stats = SearchStats()
-        try:
-            partition = exists_partition(poset, s, timeout_s=timeout_s,
-                                         use_prune=use_prune, stats=stats)
-            return s, partition, stats, None
-        except SearchTimeout as exc:
-            return s, None, stats, exc
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(run, targets))
-    best: tuple[int, IntervalPartition] | None = None
-    for s, partition, stats, exc in outcomes:
-        total.merge(stats)
-        if partition is not None and best is None:
-            best = (s, partition)
-        if exc is not None and (best is None or s > best[0]):
-            # a timeout above the best feasible target leaves the maximum
-            # unresolved, exactly as in the sequential scan
-            raise exc
-    if best is None:
-        raise AssertionError("target 0 is always feasible on a nonempty poset")
-    return best
-
-
 def _pure_power_degree(ideal: MonomialIdeal) -> int | None:
-    """k when the ideal is the k-th power of the maximal ideal, else None."""
+    """k when the ideal is the k-th power of the maximal ideal, else None.
+
+    The minimal generators are distinct, so when all have degree k and
+    there are C(n+k-1, n-1) of them, they are every monomial of degree k.
+    """
     if ideal.is_zero or ideal.is_unit:
         return None
-    k = sum(ideal.generators[0])
-    if ideal.generators == maximal_power(ideal.arity, k).generators:
+    n, gens = ideal.arity, ideal.generators
+    k = sum(gens[0])
+    if (len(gens) == math.comb(n + k - 1, n - 1)
+            and all(sum(g) == k for g in gens)):
         return k
     return None
 
 
 def sdepth_ideal(ideal: MonomialIdeal, *, g: Monomial | None = None,
-                 timeout_s: float = 60.0, use_prune: bool = True,
-                 threads: int = 1) -> SdepthCertificate:
+                 timeout_s: float = 60.0,
+                 use_prune: bool = True) -> SdepthCertificate:
     """Stanley depth of a nonzero monomial ideal, with certificate."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no Stanley depth")
@@ -501,20 +477,18 @@ def sdepth_ideal(ideal: MonomialIdeal, *, g: Monomial | None = None,
         # settles the region above it immediately
         ub = min(ub, -(-ideal.arity // (k + 1)) + 1)
     return sdepth_poset(poset, timeout_s=timeout_s, use_prune=use_prune,
-                        upper_bound=ub, threads=threads)
+                        upper_bound=ub)
 
 
 def sdepth_quotient(numerator: MonomialIdeal, denominator: MonomialIdeal, *,
-                    g: Monomial | None = None, timeout_s: float = 60.0,
-                    use_prune: bool = True, threads: int = 1) -> SdepthCertificate:
+                    g: Monomial | None = None,
+                    timeout_s: float = 60.0) -> SdepthCertificate:
     """Stanley depth of I/J (S/I when the numerator is the unit ideal)."""
-    QuotientPresentation(numerator, denominator)
     poset = build_poset(numerator, denominator, g)
     ub = numerator.arity
     if not denominator.is_zero and len(poset) > 0:
         ub -= 1  # a proper quotient has torsion, hence is not free
-    return sdepth_poset(poset, timeout_s=timeout_s, use_prune=use_prune,
-                        upper_bound=ub, threads=threads)
+    return sdepth_poset(poset, timeout_s=timeout_s, upper_bound=ub)
 
 
 def to_stanley_decomposition(poset: CharPoset,
@@ -532,19 +506,10 @@ def to_stanley_decomposition(poset: CharPoset,
     return StanleyDecomposition(poset.arity, tuple(spaces))
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def verify_stanley_decomposition(numerator: MonomialIdeal,
                                  denominator: MonomialIdeal,
                                  decomposition: StanleyDecomposition,
-                                 cap: int) -> DecompositionCheck:
+                                 cap: int) -> CheckResult:
     """Degreewise check of the direct-sum property: inside the box of
     monomials with all coordinates <= cap, every monomial of I minus J must
     lie in exactly one space, and no other monomial in any."""
@@ -555,7 +520,7 @@ def verify_stanley_decomposition(numerator: MonomialIdeal,
     cover: dict[Monomial, int] = {}
     for m, z in decomposition.spaces:
         if len(m) != n:
-            return DecompositionCheck(False, f"space monomial {m} has wrong arity")
+            return CheckResult(False, f"space monomial {m} has wrong arity")
         if any(e > cap for e in m):
             continue  # no points inside the check box
         ranges = [range(m[j], cap + 1) if (j + 1) in z else (m[j],)
@@ -567,7 +532,7 @@ def verify_stanley_decomposition(numerator: MonomialIdeal,
         hits = cover.get(w, 0)
         if member and hits != 1:
             kind = "uncovered" if hits == 0 else f"covered {hits} times"
-            return DecompositionCheck(False, f"module monomial {w} is {kind}")
+            return CheckResult(False, f"module monomial {w} is {kind}")
         if not member and hits != 0:
-            return DecompositionCheck(False, f"non-module monomial {w} is covered")
-    return DecompositionCheck(True)
+            return CheckResult(False, f"non-module monomial {w} is covered")
+    return CheckResult(True)

@@ -176,7 +176,7 @@ def build_poset(numerator: MonomialIdeal,
     """
     if denominator is None:
         denominator = zero_ideal(numerator.arity)
-    quotient = QuotientPresentation(numerator, denominator)
+    QuotientPresentation(numerator, denominator)  # validates J <= I
     if g is None:
         g = default_box(numerator, denominator)
     else:
@@ -186,7 +186,6 @@ def build_poset(numerator: MonomialIdeal,
         for gen in numerator.generators + denominator.generators:
             if not divides(gen, g):
                 raise ValueError(f"generator {gen} does not divide the box corner {g}")
-    del quotient  # construction above validated J <= I
     return CharPoset(numerator, denominator, g)
 
 

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .monomials import (
     Monomial,
@@ -156,45 +156,34 @@ class SweepRow:
         return 1 <= self.sdepth <= self.bound
 
 
-def conjecture_sweep(n_values, k_values, *, timeout_s: float = 60.0,
-                     use_prune: bool = True, threads: int = 1) -> list[SweepRow]:
+def conjecture_sweep(n_values, k_values, *,
+                     timeout_s: float = 60.0) -> list[SweepRow]:
     """Exact sdepth(m^k) across a grid, next to the conjectured value.
     Cells that exhaust their budget are reported with status 'timeout' and
     the sweep continues."""
     rows = []
     for n in sorted(set(n_values)):
         for k in sorted(set(k_values)):
-            rows.append(_sweep_cell(n, k, timeout_s, use_prune, threads))
+            bound = conjecture_bound(n, k)
+            sdepth, status, ms, nodes = _timed_sdepth(maximal_power(n, k),
+                                                      timeout_s)
+            match = (sdepth == bound) if sdepth is not None else None
+            rows.append(SweepRow(n, k, alpha_formula(n, k, k), sdepth, bound,
+                                 match, status, ms, nodes))
     return rows
 
 
-def _sweep_cell(n: int, k: int, timeout_s: float, use_prune: bool,
-                threads: int) -> SweepRow:
-    bound = conjecture_bound(n, k)
+def _timed_sdepth(ideal: MonomialIdeal,
+                  timeout_s: float) -> tuple[int | None, str, int, int]:
+    """(sdepth, status, ms, nodes) of one sweep cell.  A cell that exhausts
+    its budget gets sdepth None and status 'timeout' instead of raising."""
     start = time.perf_counter()
     try:
-        cert = sdepth_ideal(maximal_power(n, k), timeout_s=timeout_s,
-                            use_prune=use_prune, threads=threads)
+        cert = sdepth_ideal(ideal, timeout_s=timeout_s)
         sdepth, nodes, status = cert.s, cert.stats.nodes, "ok"
     except SearchTimeout as exc:
         sdepth, nodes, status = None, exc.stats.nodes, "timeout"
-    ms = int((time.perf_counter() - start) * 1000)
-    match = (sdepth == bound) if sdepth is not None else None
-    return SweepRow(n, k, alpha_formula(n, k, k), sdepth, bound, match,
-                    status, ms, nodes)
-
-
-SWEEP_CSV_HEADER = "n,k,alpha_k,sdepth,bound,conjecture_match,status,ms,nodes"
-
-
-def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        sdepth = "" if r.sdepth is None else str(r.sdepth)
-        match = "" if r.conjecture_match is None else str(r.conjecture_match).lower()
-        lines.append(f"{r.n},{r.k},{r.alpha_k},{sdepth},{r.bound},"
-                     f"{match},{r.status},{r.ms},{r.nodes}")
-    return "\n".join(lines) + "\n"
+    return sdepth, status, int((time.perf_counter() - start) * 1000), nodes
 
 
 @dataclass(frozen=True)
@@ -210,8 +199,8 @@ class MkiRow:
     nodes: int
 
 
-def mki_sweep(ideal: MonomialIdeal, k_values, *, timeout_s: float = 60.0,
-              use_prune: bool = True, threads: int = 1) -> list[MkiRow]:
+def mki_sweep(ideal: MonomialIdeal, k_values, *,
+              timeout_s: float = 60.0) -> list[MkiRow]:
     """For each k, build m^k * I and record |G(m^k I)| plus sdepth(m^k I).
     k = 0 contributes the row of I itself."""
     if ideal.is_zero:
@@ -222,27 +211,33 @@ def mki_sweep(ideal: MonomialIdeal, k_values, *, timeout_s: float = 60.0,
             raise ValueError(f"negative power {k}")
         scaled = ideal if k == 0 else ideal_product(
             maximal_power(ideal.arity, k), ideal)
-        start = time.perf_counter()
-        try:
-            cert = sdepth_ideal(scaled, timeout_s=timeout_s,
-                                use_prune=use_prune, threads=threads)
-            sdepth, nodes, status = cert.s, cert.stats.nodes, "ok"
-        except SearchTimeout as exc:
-            sdepth, nodes, status = None, exc.stats.nodes, "timeout"
-        ms = int((time.perf_counter() - start) * 1000)
-        rows.append(MkiRow(k, num_min_gens(scaled), sdepth, status, ms, nodes))
+        rows.append(MkiRow(k, num_min_gens(scaled),
+                           *_timed_sdepth(scaled, timeout_s)))
     return rows
 
 
-MKI_CSV_HEADER = "k,num_gens,sdepth,status,ms,nodes"
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
 
 
-def mki_rows_to_csv(rows: list[MkiRow]) -> str:
-    lines = [MKI_CSV_HEADER]
-    for r in rows:
-        sdepth = "" if r.sdepth is None else str(r.sdepth)
-        lines.append(f"{r.k},{r.num_gens},{sdepth},{r.status},{r.ms},{r.nodes}")
+def rows_to_csv(row_type, rows) -> str:
+    """CSV of sweep rows: a header of the `row_type` dataclass field names,
+    then one line per row; None is an empty cell, booleans are lowercase."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(",".join(_csv_cell(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"
+
+
+# The headers rows_to_csv writes for each row type: the CSV schemas of the
+# conjecture and mki commands, so the field order of the rows is fixed.
+SWEEP_CSV_HEADER = "n,k,alpha_k,sdepth,bound,conjecture_match,status,ms,nodes"
+MKI_CSV_HEADER = "k,num_gens,sdepth,status,ms,nodes"
 
 
 @dataclass(frozen=True)
@@ -257,17 +252,14 @@ class ComparisonReport:
     quotient_certificate: SdepthCertificate
 
 
-def ideal_vs_quotient_report(ideal: MonomialIdeal, *, timeout_s: float = 60.0,
-                             use_prune: bool = True,
-                             threads: int = 1) -> ComparisonReport:
+def ideal_vs_quotient_report(ideal: MonomialIdeal, *,
+                             timeout_s: float = 60.0) -> ComparisonReport:
     """Compute sdepth(I) and sdepth(S/I) exactly and report whether
     sdepth(I) >= sdepth(S/I) + 1 held for this ideal."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a proper nonzero ideal")
-    cert_i = sdepth_ideal(ideal, timeout_s=timeout_s, use_prune=use_prune,
-                          threads=threads)
+    cert_i = sdepth_ideal(ideal, timeout_s=timeout_s)
     cert_q = sdepth_quotient(unit_ideal(ideal.arity), ideal,
-                             timeout_s=timeout_s, use_prune=use_prune,
-                             threads=threads)
+                             timeout_s=timeout_s)
     return ComparisonReport(cert_i.s, cert_q.s, cert_i.s >= cert_q.s + 1,
                             cert_i, cert_q)

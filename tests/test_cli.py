@@ -164,6 +164,22 @@ def test_threads_flag(tmp_path, capsys):
     assert "sdepth = 2" in capsys.readouterr().out
 
 
+def test_threads_flag_changes_no_document(tmp_path, m5_file):
+    certs, sweeps = [], []
+    for threads in ("1", "4"):
+        cert = tmp_path / f"cert{threads}.json"
+        sweep = tmp_path / f"sweep{threads}.csv"
+        assert main(["sdepth", "--input", m5_file, "--threads", threads,
+                     "--out", str(cert)]) == 0
+        assert main(["conjecture", "--n-max", "3", "--k-max", "2",
+                     "--threads", threads, "--out", str(sweep)]) == 0
+        certs.append(cert.read_bytes())
+        rows = [line.split(",") for line in sweep.read_text().splitlines()]
+        sweeps.append([row[:7] + row[8:] for row in rows])  # mask ms
+    assert certs[0] == certs[1]
+    assert sweeps[0] == sweeps[1]
+
+
 def test_g_override(tmp_path, capsys):
     path = _write(tmp_path / "i.txt", "x1*x2\n")
     assert main(["sdepth", "--input", path, "--g", "2,2"]) == 0

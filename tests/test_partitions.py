@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from sdepthlab import (
     verify_stanley_decomposition,
     zero_ideal,
 )
+from sdepthlab import partitions
 
 
 def test_exists_partition_maximal_ideal_n2():
@@ -208,24 +210,42 @@ def test_matches_brute_force_on_quotients():
             brute_force_sdepth(p.elements, p.g)
 
 
-def test_parallel_scan_matches_sequential():
-    for ideal in (maximal_power(3, 1), maximal_power(2, 2),
-                  minimalize([(1, 1, 0), (0, 1, 1)], 3)):
-        p1 = build_poset(ideal)
-        p2 = build_poset(ideal)
-        sequential = sdepth_poset(p1, threads=1)
-        parallel = sdepth_poset(p2, threads=4)
-        assert sequential.s == parallel.s
-        assert sequential.partition == parallel.partition
-
-
 def test_timeout_is_distinct_from_infeasible():
     p = maximal_power_poset(3, 1)
     with pytest.raises(SearchTimeout):
         exists_partition(p, 2, timeout_s=1e-12)
-    # and the scan propagates it
-    with pytest.raises(SearchTimeout):
-        sdepth_poset(maximal_power_poset(4, 1), timeout_s=1e-12)
+    # and the scan propagates it, naming the target that was open
+    with pytest.raises(SearchTimeout, match="target 3 open"):
+        sdepth_ideal(maximal_power(4, 1), timeout_s=1e-12)
+
+
+def test_scan_shares_one_budget(monkeypatch):
+    """Each decision of a scan gets the time its predecessors left."""
+    given = []
+    original = partitions.exists_partition
+
+    def recording(poset, s, **kwargs):
+        given.append(kwargs["timeout_s"])
+        return original(poset, s, **kwargs)
+
+    monkeypatch.setattr(partitions, "exists_partition", recording)
+    cert = sdepth_poset(maximal_power_poset(5, 1), timeout_s=30.0)
+    assert cert.s == 3
+    assert len(given) == 3  # targets 5 and 4 refuted, 3 found
+    assert given[0] == 30.0
+    assert all(a >= b for a, b in zip(given, given[1:]))
+    assert given[-1] < 30.0  # later decisions do not restart the clock
+
+
+def test_pure_power_recognition_is_linear_in_generators():
+    # one-element poset; rebuilding m^10 in 6 variables would take seconds
+    start = time.perf_counter()
+    assert sdepth_ideal(minimalize([(10, 0, 0, 0, 0, 0)], 6)).s == 6
+    assert time.perf_counter() - start < 1.0
+    assert partitions._pure_power_degree(maximal_power(3, 2)) == 2
+    assert partitions._pure_power_degree(maximal_power(1, 4)) == 4
+    assert partitions._pure_power_degree(
+        minimalize([(2, 0), (1, 1), (0, 3)], 2)) is None
 
 
 def test_search_stats_accumulate():

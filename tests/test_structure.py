@@ -2,6 +2,7 @@ import pytest
 
 from sdepthlab import (
     MkiRow,
+    SweepRow,
     alpha_formula,
     check_counting_inequality,
     conjecture_bound,
@@ -23,8 +24,7 @@ from sdepthlab import (
 from sdepthlab.structure import (
     MKI_CSV_HEADER,
     SWEEP_CSV_HEADER,
-    mki_rows_to_csv,
-    sweep_rows_to_csv,
+    rows_to_csv,
 )
 
 
@@ -176,7 +176,7 @@ def test_conjecture_sweep_timeout_rows_are_reported():
 
 def test_sweep_csv_rendering():
     rows = conjecture_sweep(range(1, 3), range(1, 2))
-    csv = sweep_rows_to_csv(rows)
+    csv = rows_to_csv(SweepRow, rows)
     lines = csv.strip().splitlines()
     assert lines[0] == SWEEP_CSV_HEADER
     assert lines[1].startswith("1,1,1,1,1,true,ok,")
@@ -188,7 +188,7 @@ def test_mki_sweep_frozen_small_case():
     assert [(r.k, r.num_gens, r.sdepth) for r in rows] == \
         [(0, 1, 2), (1, 2, 1), (2, 3, 1)]
     assert all(r.status == "ok" for r in rows)
-    csv = mki_rows_to_csv(rows)
+    csv = rows_to_csv(MkiRow, rows)
     assert csv.splitlines()[0] == MKI_CSV_HEADER
     with pytest.raises(ValueError):
         mki_sweep(zero_ideal(2), range(2))
