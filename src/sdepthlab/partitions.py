@@ -13,16 +13,26 @@ is an exact-cover style backtracker over bitmask states:
   the forced degree-(d+1) elements of the intervals that still must start at
   degree d.
 
+All of it runs on bitmasks over element indices.  Each element has two
+closure masks from the poset (`CharPoset.closure_masks`): below[i], the
+elements dividing it, and above[i], the elements it divides.  Candidate tops
+are the bits of above[i].  The elements between u and v are above[u] &
+below[v]; they are a subset of the box interval [u, v], so the interval lies
+in the poset exactly when the two have the same size, and a popcount decides
+it.  The counting prune reads level sizes as popcounts of per-degree masks.
+
 Feasibility at s = 0 (singletons) and, for up-closed posets, at s = 1
 (fibers along the last coordinate) admit direct constructions, so the
 backtracker only ever runs where real search is needed.  Every certificate
-is re-checked by an independent marking verifier before it is returned.
+is re-checked by an independent marking verifier, which enumerates each
+interval's box itself, before it is returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -118,11 +128,17 @@ class StanleyDecomposition:
         return min(len(z) for _, z in self.spaces)
 
 
-_FAILED_CACHE_MAX = 1 << 20
+# Byte budget of the failed-state memo of one decision call (see decide).
+_FAILED_MEMO_BYTES = 4 << 20
 
 
 class _Searcher:
-    """Per-poset bitmask machinery shared by all decision calls."""
+    """Per-poset bitmask machinery shared by all decision calls.
+
+    below[i] and above[i] are the closure masks of element i: the poset
+    elements dividing it and those it divides, itself included.  Level and
+    rank masks let the counting prune count by popcount.
+    """
 
     def __init__(self, poset: CharPoset):
         self.poset = poset
@@ -132,114 +148,108 @@ class _Searcher:
         self.deg = [sum(u) for u in elems]
         self.rho = [poset.rho(u) for u in elems]
         self.up_closed = poset.is_up_closed()
-        self._lower, self._up = self._link_masks()
+        self.below, self.above = poset.closure_masks()
+        # level[d]: elements of degree d; rank_below[s]: elements of rank < s
+        self.level = [0] * (sum(poset.g) + 2)
+        by_rank = [0] * (poset.arity + 1)
+        for i in range(self.m):
+            self.level[self.deg[i]] |= 1 << i
+            by_rank[self.rho[i]] |= 1 << i
+        self.rank_below = list(itertools.accumulate(by_rank, operator.or_,
+                                                    initial=0))
+        # covers[i]: the elements elems[i] * x_j, its multiples one degree up
+        self.covers = [self.above[i] & self.level[self.deg[i] + 1]
+                       for i in range(self.m)]
         self._multiples_cache: dict[int, list[int]] = {}
         self._candidates_cache: dict[tuple[int, int], list[int]] = {}
-        self._interval_cache: dict[tuple[int, int], int | None] = {}
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
-
-    def _link_masks(self) -> tuple[list[int], list[int]]:
-        """lower[i]: bitmask of the proper poset divisors of element i;
-        up[i]: bitmask of its covers u*x_j inside the poset.  The lower
-        masks are filled by dynamic programming over the whole box so that
-        divisors remain visible across holes of quotient posets."""
-        poset = self.poset
-        n = poset.arity
-        box_lower: dict[Monomial, int] = {}
-        lower_by_elem: dict[Monomial, int] = {}
-        for b in itertools.product(*(range(e + 1) for e in poset.g)):
-            mask = 0
-            for j in range(n):
-                if b[j] > 0:
-                    p = b[:j] + (b[j] - 1,) + b[j + 1:]
-                    mask |= box_lower[p]
-                    if p in poset:
-                        mask |= 1 << poset.position(p)
-            box_lower[b] = mask
-            if b in poset:
-                lower_by_elem[b] = mask
-        lower = [lower_by_elem[u] for u in poset.elements]
-        up = [0] * self.m
-        for i, u in enumerate(poset.elements):
-            mask = 0
-            for j in range(n):
-                if u[j] < poset.g[j]:
-                    v = u[:j] + (u[j] + 1,) + u[j + 1:]
-                    if v in poset:
-                        mask |= 1 << poset.position(v)
-            up[i] = mask
-        return lower, up
 
     def _multiples(self, i: int) -> list[int]:
         """Element indices v with elems[i] | elems[v], sorted by decreasing
         degree then lex order (the candidate-top order)."""
         cached = self._multiples_cache.get(i)
         if cached is None:
-            u = self.poset.elements[i]
-            cached = [j for j, v in enumerate(self.poset.elements)
-                      if divides(u, v)]
-            cached.sort(key=lambda j: (-self.deg[j], self.poset.elements[j]))
+            cached = []
+            bits = self.above[i]
+            while bits:
+                low = bits & -bits
+                cached.append(low.bit_length() - 1)
+                bits ^= low
+            cached.sort(key=lambda j: -self.deg[j])  # stable: lex within a degree
             self._multiples_cache[i] = cached
         return cached
 
     def _candidates(self, i: int, s: int) -> list[int]:
+        """Tops of the valid intervals at bottom i with rank >= s, in
+        candidate-top order."""
         key = (i, s)
         cached = self._candidates_cache.get(key)
         if cached is None:
-            cached = [j for j in self._multiples(i) if self.rho[j] >= s]
+            cached = [j for j in self._multiples(i) if self.rho[j] >= s
+                      and self.interval_mask(i, j) is not None]
             self._candidates_cache[key] = cached
         return cached
 
     def interval_mask(self, i: int, j: int) -> int | None:
-        """Bitmask of the box interval [elems[i], elems[j]], or None when
-        some box monomial in between is missing from the poset."""
-        key = (i, j)
-        if key in self._interval_cache:
-            return self._interval_cache[key]
+        """Bitmask of the interval [elems[i], elems[j]] for elems[i] |
+        elems[j], or None when some box monomial in between is missing from
+        the poset.  The poset elements between the two are above[i] &
+        below[j], a subset of the box interval; it has no hole exactly when
+        both have the same size, prod(v_k - u_k + 1)."""
+        mask = self.above[i] & self.below[j]
         u = self.poset.elements[i]
         v = self.poset.elements[j]
-        mask = 0
-        for w in itertools.product(*(range(a, b + 1) for a, b in zip(u, v))):
-            if w not in self.poset:
-                mask = None
-                break
-            mask |= 1 << self.poset.position(w)
-        self._interval_cache[key] = mask
+        if mask.bit_count() != math.prod(b - a + 1 for a, b in zip(u, v)):
+            return None
         return mask
 
     def budget_feasible(self, uncovered: int, s: int) -> bool:
         """Counting prune.  Every element minimal in the uncovered set must
         start an interval, which forces at least s - rho(bottom) uncovered
         covers of it one degree up; the forced elements of distinct bottoms
-        are distinct.  Returns False only when no completion can exist."""
+        are distinct.  Returns False only when no completion can exist.
+
+        Only uncovered elements of rank < s can force anything, so only
+        they are walked; level sizes are popcounts of the level masks."""
         if s <= 0:
             return True
-        level_count: dict[int, int] = {}
         needs: dict[int, int] = {}
-        u = uncovered
-        while u:
-            low = u & -u
+        walk = uncovered & self.rank_below[s]
+        while walk:
+            low = walk & -walk
             i = low.bit_length() - 1
-            u ^= low
-            d = self.deg[i]
-            level_count[d] = level_count.get(d, 0) + 1
-            if self._lower[i] & uncovered == 0:
+            walk ^= low
+            if self.below[i] & uncovered == low:
                 need = s - self.rho[i]
-                if need > 0:
-                    if (self._up[i] & uncovered).bit_count() < need:
-                        return False
-                    needs[d] = needs.get(d, 0) + need
+                if (self.covers[i] & uncovered).bit_count() < need:
+                    return False
+                d = self.deg[i]
+                needs[d] = needs.get(d, 0) + need
         for d, req in needs.items():
-            if req > level_count.get(d + 1, 0):
+            if req > (self.level[d + 1] & uncovered).bit_count():
                 return False
         return True
 
     def decide(self, s: int, timeout_s: float, use_prune: bool,
                stats: SearchStats) -> list[tuple[int, int]] | None:
         """Exhaustive search for a full cover with all tops of rank >= s.
-        Returns (bottom, top) index pairs or None if none exists."""
+        Returns (bottom, top) index pairs or None if none exists.
+
+        Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
+        once it is full it takes no more states.  The memo only spares
+        searching a refuted state again, so its size can change node counts
+        but never the answer or the partition found.  4 MiB is about six
+        times what the hardest solved instances of the benchmark ladders
+        fill (0.7 MiB for S/I quotients of about 70 elements and 13k nodes)
+        and holds about 11k masks at |P| = 2047; unbounded, the memo grew
+        RSS by about 90 MB in 40 s on m with n = 12.
+        """
         deadline = time.monotonic() + timeout_s
+        below, above = self.below, self.above
         failed: set[int] = set()
+        # bytes per entry: no mask is larger than the full one, plus 64 for
+        # its 16-byte set slot in a table at least a quarter full
+        capacity = _FAILED_MEMO_BYTES // (sys.getsizeof(self.full_mask) + 64)
 
         def rec(uncovered: int) -> list[tuple[int, int]] | None:
             if uncovered == 0:
@@ -254,15 +264,17 @@ class _Searcher:
             if uncovered in failed:
                 return None
             w = (uncovered & -uncovered).bit_length() - 1
+            # [w, v] fits in the uncovered set iff it misses the covered
+            # multiples of w
+            blocked = above[w] & ~uncovered
             for v in self._candidates(w, s):
-                mask = self.interval_mask(w, v)
-                if mask is None or mask & uncovered != mask:
+                if below[v] & blocked:
                     continue
-                rest = rec(uncovered & ~mask)
+                rest = rec(uncovered ^ (above[w] & below[v]))
                 if rest is not None:
                     rest.append((w, v))
                     return rest
-            if len(failed) < _FAILED_CACHE_MAX:
+            if len(failed) < capacity:
                 failed.add(uncovered)
             return None
 
@@ -303,7 +315,7 @@ class _Searcher:
             return n
         ub = n
         for i in range(self.m):
-            if self._lower[i]:
+            if self.below[i] != 1 << i:
                 continue
             best = 0
             for v in self._multiples(i):

@@ -10,6 +10,14 @@ k-th power of the maximal ideal with g = (k,...,k) this is the number of
 variables x_j with x_j^k | u.  Level sizes of that poset also have a
 closed inclusion-exclusion form (`alpha_formula`), checked here against
 plain enumeration (`alpha_enumerate`).
+
+Every element of I is a multiple of lo, the componentwise minimum of the
+generators of I, and so is every monomial between two elements.  The poset
+build and the closure masks of the search therefore walk only the sub-box
+[lo, g], by dynamic programming over its mixed-radix cell codes: a cell is
+in an ideal iff it is a generator or a cell one step below it is in the
+ideal, and a cell's closure mask is its own bit ORed with those of the
+cells one step below (or above) it.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     QuotientPresentation,
-    contains,
     divides,
     maximal_power,
     zero_ideal,
@@ -74,6 +81,32 @@ def default_box(numerator: MonomialIdeal,
     return tuple(g)
 
 
+def _weights(dims) -> tuple[int, ...]:
+    """Mixed-radix weights of a box with the given side lengths, the first
+    coordinate most significant."""
+    weights = [1] * len(dims)
+    for j in range(len(dims) - 2, -1, -1):
+        weights[j] = weights[j + 1] * dims[j + 1]
+    return tuple(weights)
+
+
+def _spread(cells: list[int], dims, upward: bool) -> None:
+    """OR each cell of a box, indexed by mixed-radix code, into every cell
+    above it (upward) or below it (downward) in the componentwise order, in
+    place.  One prefix pass per axis suffices: a cell above another is
+    reached by raising one coordinate at a time."""
+    size = len(cells)
+    for stride, dim in zip(_weights(dims), dims):
+        block = stride * dim
+        for base in range(0, size, block):
+            if upward:
+                for c in range(base + stride, base + block):
+                    cells[c] |= cells[c - stride]
+            else:
+                for c in range(base + block - stride - 1, base - 1, -1):
+                    cells[c] |= cells[c + stride]
+
+
 @dataclass(frozen=True)
 class LevelTable:
     """Per-degree element counts of a poset."""
@@ -90,7 +123,8 @@ class CharPoset:
 
     Elements are kept sorted by their dense mixed-radix code (x1 is the
     most significant digit), which coincides with lexicographic order on
-    exponent tuples and is a linear extension of divisibility.
+    exponent tuples and is a linear extension of divisibility.  They are
+    found by the membership DP over the sub-box [lo, g] (module docstring).
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -99,18 +133,27 @@ class CharPoset:
         self.numerator = numerator
         self.denominator = denominator
         self.g = g
-        # code weights: weight[j] = prod of (g_i + 1) for i > j
-        weights = [1] * self.arity
-        for j in range(self.arity - 2, -1, -1):
-            weights[j] = weights[j + 1] * (g[j + 1] + 1)
-        self._weights = tuple(weights)
-        elements = []
-        for u in itertools.product(*(range(e + 1) for e in g)):
-            if contains(numerator, u) and not contains(denominator, u):
-                elements.append(u)
-        elements.sort()  # lex == mixed-radix code order
-        self.elements: tuple[Monomial, ...] = tuple(elements)
-        self._position = {u: i for i, u in enumerate(elements)}
+        self._weights = _weights([e + 1 for e in g])
+        gens = numerator.generators
+        self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
+        self._dims = [b - a + 1 for a, b in zip(self._lo, g)]
+        self._sub_weights = _weights(self._dims)
+        # Membership DP: bit 0 marks I, bit 1 marks J.  A generator seeds
+        # lcm(gen, lo), its least multiple inside the sub-box.
+        cells = [0] * math.prod(self._dims)
+        for flag, ideal in ((1, numerator), (2, denominator)):
+            for gen in ideal.generators:
+                seed = tuple(map(max, gen, self._lo))
+                if all(a <= b for a, b in zip(seed, g)):
+                    cells[self._sub_code(seed)] |= flag
+        _spread(cells, self._dims, upward=True)
+        # product order over the sub-box is lex == mixed-radix code order
+        self.elements: tuple[Monomial, ...] = tuple(
+            u for u, flags in zip(
+                itertools.product(*(range(a, b + 1)
+                                    for a, b in zip(self._lo, g))), cells)
+            if flags == 1)
+        self._position = {u: i for i, u in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -121,6 +164,25 @@ class CharPoset:
     def code(self, u: Monomial) -> int:
         """Mixed-radix code of a box monomial, in [0, prod(g_j + 1))."""
         return sum(e * w for e, w in zip(u, self._weights))
+
+    def _sub_code(self, u: Monomial) -> int:
+        """Mixed-radix code of u in the sub-box [lo, g], ordered as `code`."""
+        return sum((e - a) * w
+                   for e, a, w in zip(u, self._lo, self._sub_weights))
+
+    def closure_masks(self) -> tuple[list[int], list[int]]:
+        """Per element i, bitmasks over element indices: below[i] holds the
+        elements dividing element i and above[i] the elements it divides,
+        i itself included in both.  Each element's bit is spread over the
+        sub-box cells above it (for below) and below it (for above)."""
+        below = [0] * math.prod(self._dims)
+        codes = [self._sub_code(u) for u in self.elements]
+        for i, c in enumerate(codes):
+            below[c] = 1 << i
+        above = below[:]
+        _spread(below, self._dims, upward=True)
+        _spread(above, self._dims, upward=False)
+        return [below[c] for c in codes], [above[c] for c in codes]
 
     def position(self, u: Monomial) -> int:
         """Index of u in the code-sorted element list."""

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -218,3 +219,15 @@ def test_cache_ignores_corrupt_entries(tmp_path, m5_file):
     assert main(["sdepth", "--input", m5_file, "--cache", str(cache),
                  "--out", str(fresh)]) == 0
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_principal_ideal_far_out_is_fast(tmp_path, capsys):
+    """A one-element poset: the poset build and the search set-up walk
+    only the cells between the generators' minimum and the box corner."""
+    path = _write(tmp_path / "p.txt", "x1^20*x2^20*x3^20*x4^20\n")
+    for extra in ([], ["--g", "25,25,25,25"]):
+        start = time.perf_counter()
+        assert main(["sdepth", "--input", path, "--timeout", "0.1",
+                     *extra]) == 0
+        assert time.perf_counter() - start < 0.5
+        assert "sdepth = 4" in capsys.readouterr().out
