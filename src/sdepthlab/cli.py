@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import ENGINE_VERSION
@@ -51,30 +51,6 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    input_j_path: str | None = None
-    g_override: tuple[int, ...] | None = None
-    arity: int | None = None
-    timeout_s: float = 60.0
-    cache_dir: str | None = None
-    out_path: str | None = None
-    output_format: str = "text"
-    n_min: int = 1
-    n_max: int = 4
-    k_min: int = 1
-    k_max: int = 3
-    alpha_n: int = 0
-    alpha_k: int = 0
-    certificate_path: str | None = None
-
-    def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-
-
 def _parse_g(value: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(part) for part in value.split(","))
@@ -85,11 +61,34 @@ def _parse_g(value: str) -> tuple[int, ...]:
     return parts
 
 
+def _parse_timeout(value: str) -> float:
+    """A positive, finite number of seconds: a NaN budget would never run
+    out, and neither would an infinite one."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number of seconds, got {value!r}")
+    return seconds
+
+
+def _parse_threads(value: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {value!r}")
+    return count
+
+
 def _add_budget(sp) -> None:
-    sp.add_argument("--timeout", type=float, default=60.0,
+    sp.add_argument("--timeout", type=_parse_timeout, default=60.0,
                     help="wall-clock budget in seconds for each Stanley "
                          "depth computation, all of its targets together")
-    sp.add_argument("--threads", type=int, default=1,
+    sp.add_argument("--threads", type=_parse_threads, default=1,
                     help="accepted and ignored: the search runs in one thread")
 
 
@@ -100,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, *, needs_input=True, needs_j=False, search=True):
+        # _load_ideals reads both, also where the flag does not exist
+        sp.set_defaults(input_j=None, g=None)
         if needs_input:
             sp.add_argument("--input", required=True,
                             help="ideal file (text or structured JSON)")
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--arity", type=int, default=None,
                             help="ambient arity (default: inferred from inputs)")
         if search:
-            sp.add_argument("--g", type=_parse_g, default=None, metavar="K1,...,KN",
+            sp.add_argument("--g", type=_parse_g, metavar="K1,...,KN",
                             help="box corner override")
             _add_budget(sp)
         sp.add_argument("--cache", default=None, help="cache directory")
@@ -153,45 +154,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "threads", 1) < 1:
-        raise ValueError("thread count must be >= 1")
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        input_j_path=getattr(args, "input_j", None),
-        g_override=getattr(args, "g", None),
-        arity=getattr(args, "arity", None),
-        timeout_s=getattr(args, "timeout", 60.0),
-        cache_dir=getattr(args, "cache", None),
-        out_path=getattr(args, "out", None),
-        output_format=getattr(args, "format", "text"),
-        n_min=getattr(args, "n_min", 1),
-        n_max=getattr(args, "n_max", 4),
-        k_min=getattr(args, "k_min", 1),
-        k_max=getattr(args, "k_max", 3),
-        alpha_n=getattr(args, "n", 0),
-        alpha_k=getattr(args, "k", 0),
-        certificate_path=getattr(args, "certificate", None),
-    )
-
-
-def _load_ideals(config: RunConfig) -> tuple[MonomialIdeal, MonomialIdeal | None]:
+def _load_ideals(
+        args: argparse.Namespace) -> tuple[MonomialIdeal, MonomialIdeal | None]:
     """Parse the input ideal(s) over a common ambient arity.
 
     Text inputs infer their arity from the largest variable index; the
     shared arity is the maximum over all inputs, --arity and the --g
     length.  Structured inputs carry an explicit n and must match it.
     """
-    text_i = Path(config.input_path).read_text(encoding="utf-8")
+    text_i = Path(args.input).read_text(encoding="utf-8")
     text_j = None
-    if config.input_j_path is not None:
-        text_j = Path(config.input_j_path).read_text(encoding="utf-8")
+    if args.input_j is not None:
+        text_j = Path(args.input_j).read_text(encoding="utf-8")
     first = parse_ideal(text_i)
     second = parse_ideal(text_j) if text_j is not None else None
     n = max([first.arity] + ([second.arity] if second is not None else [])
-            + ([len(config.g_override)] if config.g_override else [])
-            + ([config.arity] if config.arity else []))
+            + ([len(args.g)] if args.g else [])
+            + ([args.arity] if args.arity else []))
     ideal_i = parse_ideal(text_i, arity=n)
     ideal_j = parse_ideal(text_j, arity=n) if text_j is not None else None
     if ideal_i.arity != n or (ideal_j is not None and ideal_j.arity != n):
@@ -237,22 +216,22 @@ def _document_text(document) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-def _emit(config: RunConfig, document, summary_lines) -> None:
-    if config.out_path is not None:
-        Path(config.out_path).write_text(_document_text(document),
+def _emit(args: argparse.Namespace, document, summary_lines) -> None:
+    if args.out is not None:
+        Path(args.out).write_text(_document_text(document),
                                          encoding="utf-8")
-    if config.output_format == "structured":
+    if args.format == "structured":
         sys.stdout.write(_document_text(document))
     else:
         for line in summary_lines:
             print(line)
 
 
-def _cached(config: RunConfig, key_payload: dict, compute):
+def _cached(args: argparse.Namespace, key_payload: dict, compute):
     """Run `compute` through the cache when one is configured."""
-    if config.cache_dir is None:
+    if args.cache is None:
         return compute()
-    cache = ResultCache(config.cache_dir)
+    cache = ResultCache(args.cache)
     key = content_key({"engine": ENGINE_VERSION, **key_payload})
     payload = cache.load(key)
     if payload is None:
@@ -272,9 +251,9 @@ def _cert_summary(document: dict) -> list[str]:
     ]
 
 
-def cmd_certificate(config: RunConfig) -> int:
+def cmd_certificate(args: argparse.Namespace) -> int:
     """`sdepth` (of an ideal I) and `quotient` (of I/J): a certified value."""
-    numerator, denominator = _load_ideals(config)
+    numerator, denominator = _load_ideals(args)
     start = time.perf_counter()
     if denominator is None:
         solve = functools.partial(sdepth_ideal, numerator)
@@ -285,22 +264,21 @@ def cmd_certificate(config: RunConfig) -> int:
         key = {"command": "quotient",
                "numerator": ideal_to_structured(numerator),
                "denominator": ideal_to_structured(denominator)}
-    key["g"] = list(config.g_override or default_box(numerator, denominator))
-    key["timeout"] = config.timeout_s
+    key["g"] = list(args.g or default_box(numerator, denominator))
+    key["timeout"] = args.timeout
 
     def compute():
-        return certificate_document(solve(g=config.g_override,
-                                          timeout_s=config.timeout_s))
+        return certificate_document(solve(g=args.g, timeout_s=args.timeout))
 
-    document = _cached(config, key, compute)
-    _emit(config, document, _cert_summary(document))
-    if config.output_format == "text":
+    document = _cached(args, key, compute)
+    _emit(args, document, _cert_summary(document))
+    if args.format == "text":
         print(f"elapsed_ms: {int((time.perf_counter() - start) * 1000)}")
     return 0
 
 
-def cmd_sat(config: RunConfig) -> int:
-    ideal, _ = _load_ideals(config)
+def cmd_sat(args: argparse.Namespace) -> int:
+    ideal, _ = _load_ideals(args)
 
     def compute():
         report = ideal_saturation_report(ideal)
@@ -315,7 +293,7 @@ def cmd_sat(config: RunConfig) -> int:
             "sdepth_zero_quotient": not report.is_saturated,
         }
 
-    document = _cached(config, {
+    document = _cached(args, {
         "command": "sat", "ideal": ideal_to_structured(ideal),
     }, compute)
     witness = document["witness"]
@@ -327,7 +305,7 @@ def cmd_sat(config: RunConfig) -> int:
     ]
     if witness is not None:
         summary.append(f"witness = {monomial_str(witness)}")
-    _emit(config, document, summary)
+    _emit(args, document, summary)
     return 0
 
 
@@ -336,8 +314,8 @@ def _space_str(monomial, variables) -> str:
     return f"{monomial_str(monomial)}*K[{inner}]"
 
 
-def cmd_janet(config: RunConfig) -> int:
-    ideal, _ = _load_ideals(config)
+def cmd_janet(args: argparse.Namespace) -> int:
+    ideal, _ = _load_ideals(args)
     decomposition = janet_decomposition(ideal)
     cap = sum(default_box(unit_ideal(ideal.arity), ideal))
     check = verify_stanley_decomposition(unit_ideal(ideal.arity), ideal,
@@ -358,61 +336,61 @@ def cmd_janet(config: RunConfig) -> int:
                f"(degreewise checked up to {cap}):"]
     summary += ["  " + _space_str(m, z) for m, z in decomposition.spaces]
     summary.append(f"sdepth of the decomposition = {decomposition.sdepth}")
-    _emit(config, document, summary)
+    _emit(args, document, summary)
     return 0
 
 
-def cmd_alpha(config: RunConfig) -> int:
-    n, k = config.alpha_n, config.alpha_k
+def cmd_alpha(args: argparse.Namespace) -> int:
+    n, k = args.n, args.k
     rows = [(d, alpha_formula(n, k, d)) for d in range(k, k * n + 1)]
     document = "d,alpha\n" + "\n".join(f"{d},{a}" for d, a in rows) + "\n"
     summary = [f"alpha_d for n={n}, k={k} (d = {k}..{k * n}):"]
     summary += [f"  d={d}: {a}" for d, a in rows]
     summary.append(f"total = {sum(a for _, a in rows)}")
-    _emit(config, document, summary)
+    _emit(args, document, summary)
     return 0
 
 
-def cmd_conjecture(config: RunConfig) -> int:
+def cmd_conjecture(args: argparse.Namespace) -> int:
     def compute():
-        rows = conjecture_sweep(range(config.n_min, config.n_max + 1),
-                                range(config.k_min, config.k_max + 1),
-                                timeout_s=config.timeout_s)
+        rows = conjecture_sweep(range(args.n_min, args.n_max + 1),
+                                range(args.k_min, args.k_max + 1),
+                                timeout_s=args.timeout)
         return rows_to_csv(SweepRow, rows)
 
-    document = _cached(config, {
+    document = _cached(args, {
         "command": "conjecture",
-        "n": [config.n_min, config.n_max],
-        "k": [config.k_min, config.k_max],
-        "timeout": config.timeout_s,
+        "n": [args.n_min, args.n_max],
+        "k": [args.k_min, args.k_max],
+        "timeout": args.timeout,
     }, compute)
-    _emit(config, document, document.rstrip("\n").splitlines())
+    _emit(args, document, document.rstrip("\n").splitlines())
     return 0
 
 
-def cmd_mki(config: RunConfig) -> int:
-    ideal, _ = _load_ideals(config)
+def cmd_mki(args: argparse.Namespace) -> int:
+    ideal, _ = _load_ideals(args)
 
     def compute():
-        rows = mki_sweep(ideal, range(config.k_min, config.k_max + 1),
-                         timeout_s=config.timeout_s)
+        rows = mki_sweep(ideal, range(args.k_min, args.k_max + 1),
+                         timeout_s=args.timeout)
         return rows_to_csv(MkiRow, rows)
 
-    document = _cached(config, {
+    document = _cached(args, {
         "command": "mki",
         "ideal": ideal_to_structured(ideal),
-        "k": [config.k_min, config.k_max],
-        "timeout": config.timeout_s,
+        "k": [args.k_min, args.k_max],
+        "timeout": args.timeout,
     }, compute)
-    _emit(config, document, document.rstrip("\n").splitlines())
+    _emit(args, document, document.rstrip("\n").splitlines())
     return 0
 
 
-def cmd_remark17(config: RunConfig) -> int:
-    ideal, _ = _load_ideals(config)
+def cmd_remark17(args: argparse.Namespace) -> int:
+    ideal, _ = _load_ideals(args)
 
     def compute():
-        report = ideal_vs_quotient_report(ideal, timeout_s=config.timeout_s)
+        report = ideal_vs_quotient_report(ideal, timeout_s=args.timeout)
         return {
             "schema": "sdepth-comparison@1",
             "engine": ENGINE_VERSION,
@@ -423,12 +401,12 @@ def cmd_remark17(config: RunConfig) -> int:
             "inequality_holds": report.inequality_holds,
         }
 
-    document = _cached(config, {
+    document = _cached(args, {
         "command": "remark17",
         "ideal": ideal_to_structured(ideal),
-        "timeout": config.timeout_s,
+        "timeout": args.timeout,
     }, compute)
-    _emit(config, document, [
+    _emit(args, document, [
         f"sdepth(I) = {document['sdepth_ideal']}",
         f"sdepth(S/I) = {document['sdepth_quotient']}",
         f"sdepth(I) >= sdepth(S/I) + 1: "
@@ -437,9 +415,9 @@ def cmd_remark17(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        document = json.loads(Path(config.certificate_path).read_text(
+        document = json.loads(Path(args.certificate).read_text(
             encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise IdealParseError(exc.msg, exc.lineno, exc.colno) from exc
@@ -457,7 +435,9 @@ def cmd_verify(config: RunConfig) -> int:
     poset = build_poset(numerator, denominator, g)
     check = verify_partition(poset, intervals, s)
     failures = []
-    if not check:
+    if len(poset) == 0:
+        failures.append("the poset is empty (the quotient module is zero)")
+    elif not check:
         failures.append(check.reason)
     elif min(poset.rho(iv.top) for iv in intervals) != s:
         failures.append("partition witnesses a different s than recorded")
@@ -491,8 +471,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[args.command](config)
+        return _DISPATCH[args.command](args)
     except IdealParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -15,11 +15,19 @@ is an exact-cover style backtracker over bitmask states:
 
 All of it runs on bitmasks over element indices.  Each element has two
 closure masks from the poset (`CharPoset.closure_masks`): below[i], the
-elements dividing it, and above[i], the elements it divides.  Candidate tops
-are the bits of above[i].  The elements between u and v are above[u] &
-below[v]; they are a subset of the box interval [u, v], so the interval lies
-in the poset exactly when the two have the same size, and a popcount decides
-it.  The counting prune reads level sizes as popcounts of per-degree masks.
+elements dividing it, and above[i], the elements it divides.  The interval
+[u, v] is above[u] & below[v], and candidate tops are the bits of above[i]
+of rank at least s.  No interval needs a test for holes, by this lemma:
+
+  Convexity.  The characteristic poset of I/J is convex: if u | w | v with
+  u and v in the poset, then w is in the poset.  Proof: w lies in the box
+  because it divides v; w is in I because u | w and I is an ideal; and w
+  is not in J, because otherwise its multiple v would be in J.
+
+So the box interval between any two dividing elements lies in the poset,
+every multiple of a bottom is a valid top, and the elements between u and
+v are exactly the box interval [u, v].  The counting prune reads level
+sizes as popcounts of per-degree masks.
 
 Feasibility at s = 0 (singletons) and, for up-closed posets, at s = 1
 (fibers along the last coordinate) admit direct constructions, so the
@@ -136,8 +144,10 @@ class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls.
 
     below[i] and above[i] are the closure masks of element i: the poset
-    elements dividing it and those it divides, itself included.  Level and
-    rank masks let the counting prune count by popcount.
+    elements dividing it and those it divides, itself included.  The poset
+    is convex (module docstring), so above[u] & below[v] is the whole
+    interval [u, v] for any u | v.  Level and rank masks let the counting
+    prune count by popcount and the candidates filter by rank.
     """
 
     def __init__(self, poset: CharPoset):
@@ -160,48 +170,25 @@ class _Searcher:
         # covers[i]: the elements elems[i] * x_j, its multiples one degree up
         self.covers = [self.above[i] & self.level[self.deg[i] + 1]
                        for i in range(self.m)]
-        self._multiples_cache: dict[int, list[int]] = {}
         self._candidates_cache: dict[tuple[int, int], list[int]] = {}
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
 
-    def _multiples(self, i: int) -> list[int]:
-        """Element indices v with elems[i] | elems[v], sorted by decreasing
-        degree then lex order (the candidate-top order)."""
-        cached = self._multiples_cache.get(i)
+    def _candidates(self, i: int, s: int) -> list[int]:
+        """Tops of the intervals at bottom i with rank >= s, in decreasing
+        degree, then lex order.  By convexity these are all the multiples
+        of elems[i] of rank >= s."""
+        key = (i, s)
+        cached = self._candidates_cache.get(key)
         if cached is None:
             cached = []
-            bits = self.above[i]
+            bits = self.above[i] & ~self.rank_below[s]
             while bits:
                 low = bits & -bits
                 cached.append(low.bit_length() - 1)
                 bits ^= low
             cached.sort(key=lambda j: -self.deg[j])  # stable: lex within a degree
-            self._multiples_cache[i] = cached
-        return cached
-
-    def _candidates(self, i: int, s: int) -> list[int]:
-        """Tops of the valid intervals at bottom i with rank >= s, in
-        candidate-top order."""
-        key = (i, s)
-        cached = self._candidates_cache.get(key)
-        if cached is None:
-            cached = [j for j in self._multiples(i) if self.rho[j] >= s
-                      and self.interval_mask(i, j) is not None]
             self._candidates_cache[key] = cached
         return cached
-
-    def interval_mask(self, i: int, j: int) -> int | None:
-        """Bitmask of the interval [elems[i], elems[j]] for elems[i] |
-        elems[j], or None when some box monomial in between is missing from
-        the poset.  The poset elements between the two are above[i] &
-        below[j], a subset of the box interval; it has no hole exactly when
-        both have the same size, prod(v_k - u_k + 1)."""
-        mask = self.above[i] & self.below[j]
-        u = self.poset.elements[i]
-        v = self.poset.elements[j]
-        if mask.bit_count() != math.prod(b - a + 1 for a, b in zip(u, v)):
-            return None
-        return mask
 
     def budget_feasible(self, uncovered: int, s: int) -> bool:
         """Counting prune.  Every element minimal in the uncovered set must
@@ -309,21 +296,14 @@ class _Searcher:
 
     def intrinsic_upper_bound(self) -> int:
         """Largest s any partition could reach: each minimal poset element
-        must start an interval, whose top is one of its valid candidates."""
-        n = self.poset.arity
-        if self.m == 0 or self.up_closed:
-            return n
-        ub = n
+        must start an interval, and by convexity its best top is the
+        highest-ranked of its multiples.  On a nonempty up-closed poset
+        the corner g is above every element, so the bound is n."""
+        ub = self.poset.arity
         for i in range(self.m):
-            if self.below[i] != 1 << i:
-                continue
-            best = 0
-            for v in self._multiples(i):
-                if self.rho[v] > best and self.interval_mask(i, v) is not None:
-                    best = self.rho[v]
-            ub = min(ub, best)
-            if ub == 0:
-                break
+            if self.below[i] == 1 << i:
+                while not self.above[i] & ~self.rank_below[ub]:
+                    ub -= 1
         return ub
 
 

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from sdepthlab.cli import main
+from sdepthlab.cli import _ideal_hash, main
+from sdepthlab.formats import ideal_to_structured, parse_ideal
 
 
 def _write(path, text):
@@ -96,6 +97,23 @@ def test_certificate_roundtrip_and_tampering(tmp_path, m5_file, capsys):
     assert main(["verify", str(tampered)]) == 2
 
 
+def test_verify_rejects_zero_module_certificate(tmp_path, capsys):
+    """Numerator equal to denominator: the poset is empty, so the empty
+    interval list passes the partition check, but there is nothing to
+    certify."""
+    ideal = parse_ideal("x1*x2\n")
+    structured = ideal_to_structured(ideal)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps({
+        "schema": "sdepth-certificate@1", "n": 2, "g": [1, 1],
+        "numerator": structured, "denominator": structured,
+        "ideal_hash": _ideal_hash(ideal, ideal, (1, 1)),
+        "s": 0, "intervals": []}))
+    assert main(["verify", str(forged)]) == 4
+    assert ("certificate INVALID: the poset is empty (the quotient module "
+            "is zero)") in capsys.readouterr().err
+
+
 def test_alpha_command(tmp_path, capsys):
     out = tmp_path / "alpha.csv"
     assert main(["alpha", "3", "2", "--out", str(out)]) == 0
@@ -157,6 +175,17 @@ def test_config_validation(tmp_path):
     path = _write(tmp_path / "m2.txt", "x1\nx2\n")
     assert main(["sdepth", "--input", path, "--timeout", "0"]) == 2
     assert main(["sdepth", "--input", path, "--threads", "0"]) == 2
+
+
+def test_non_finite_timeout_rejected(tmp_path, capsys):
+    """A NaN budget never compares below the clock and an infinite one
+    never runs out, so neither would bound the command."""
+    path = _write(tmp_path / "m2.txt", "x1\nx2\n")
+    for budget in ("nan", "inf"):
+        assert main(["sdepth", "--input", path, "--timeout", budget]) == 2
+        assert main(["conjecture", "--n-max", "1", "--k-max", "1",
+                     "--timeout", budget]) == 2
+        assert "positive finite" in capsys.readouterr().err
 
 
 def test_threads_flag(tmp_path, capsys):

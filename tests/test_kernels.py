@@ -1,6 +1,7 @@
 """Oracle tests for the bitmask kernels of the poset build and the search:
-membership DP, closure masks, interval masks, candidate order, the popcount
-counting prune and the bounded failed-state memo."""
+membership DP, closure masks, the convexity that makes interval masks need
+no hole test, candidate order, the upper bound, the up-closure test, the
+popcount counting prune and the bounded failed-state memo."""
 
 import hashlib
 import itertools
@@ -17,6 +18,7 @@ from bruteforce import (
     member_of_ideal,
 )
 from sdepthlab import (
+    CharPoset,
     build_poset,
     contains,
     maximal_power,
@@ -64,28 +66,94 @@ def test_membership_dp_matches_contains(small_corpus):
             assert list(p.elements) == expected
 
 
-def test_closure_interval_and_candidate_kernels(kernel_posets):
-    """Closure masks against plain divisibility, interval masks against box
-    enumeration (mask or None), and the multiples against the divisibility
-    filter in (-deg, lex) order."""
-    for p in kernel_posets:
+@pytest.fixture(scope="module")
+def oracle_posets(kernel_posets, small_corpus):
+    """kernel_posets plus empty I/I posets, boxes that some denominator
+    generator does not divide, and (for n <= 2, where it stays cheap) a
+    larger box set with g."""
+    extra = []
+    for ideal in small_corpus:
+        n = ideal.arity
+        if ideal.is_zero:
+            continue
+        extra.append(build_poset(ideal, ideal))
+        extra.append(CharPoset(unit_ideal(n), ideal, (1,) * n))
+        if n <= 2:
+            extra.append(build_poset(unit_ideal(n), ideal, (3,) * n))
+            extra.append(build_poset(ideal, None, (3,) * n))
+    return kernel_posets + extra
+
+
+def test_closure_interval_and_candidate_kernels(oracle_posets):
+    """Closure masks against plain divisibility; convexity: the whole box
+    interval between two dividing elements lies in the poset, so
+    above[i] & below[j] is that interval; and the candidates against the
+    divisibility-and-rank filter in (-deg, lex) order."""
+    convex_pairs = 0
+    for p in oracle_posets:
         searcher = partitions._get_searcher(p)
         below, above = p.closure_masks()
         elems = p.elements
         index = {u: i for i, u in enumerate(elems)}
+        rho = [p.rho(u) for u in elems]
         divides = [[divides_raw(u, v) for v in elems] for u in elems]
         for i, u in enumerate(elems):
             multiples = [j for j in range(len(elems)) if divides[i][j]]
             assert above[i] == sum(1 << j for j in multiples)
             assert below[i] == sum(1 << j for j in range(len(elems))
                                    if divides[j][i])
-            assert searcher._multiples(i) == sorted(
-                multiples, key=lambda j: (-sum(elems[j]), elems[j]))
+            order = sorted(multiples, key=lambda j: (-sum(elems[j]), elems[j]))
+            for s in range(p.arity + 1):
+                assert searcher._candidates(i, s) == [j for j in order
+                                                      if rho[j] >= s]
             for j in multiples:
                 cell = box_interval(u, elems[j])
-                expected = (sum(1 << index[w] for w in cell)
-                            if all(w in index for w in cell) else None)
-                assert searcher.interval_mask(i, j) == expected
+                assert all(w in index for w in cell)
+                assert above[i] & below[j] == sum(1 << index[w] for w in cell)
+                convex_pairs += 1
+    assert convex_pairs > 100_000
+
+
+def _upper_bound_oracle(poset):
+    """The least, over minimal elements, of the highest rank among their
+    multiples, from plain divisibility; n on an empty poset."""
+    elems = poset.elements
+    ub = poset.arity
+    for u in elems:
+        if not any(v != u and divides_raw(v, u) for v in elems):
+            ub = min(ub, max(poset.rho(v) for v in elems
+                             if divides_raw(u, v)))
+    return ub
+
+
+def test_intrinsic_upper_bound(oracle_posets):
+    small = 0
+    for p in oracle_posets:
+        ub = partitions._get_searcher(p).intrinsic_upper_bound()
+        assert ub == _upper_bound_oracle(p)
+        if 0 < len(p) <= 12:
+            assert ub >= brute_force_sdepth(p.elements, p.g)
+            small += 1
+    assert small > 100
+
+
+def _is_up_closed_walk(poset):
+    """The successor walk as first written: every element's one-step box
+    multiples must be elements."""
+    for u in poset.elements:
+        for j in range(poset.arity):
+            if u[j] < poset.g[j]:
+                if u[:j] + (u[j] + 1,) + u[j + 1:] not in poset:
+                    return False
+    return True
+
+
+def test_is_up_closed_matches_successor_walk(oracle_posets):
+    outcomes = set()
+    for p in oracle_posets:
+        assert p.is_up_closed() == _is_up_closed_walk(p)
+        outcomes.add((len(p) > 0, p.is_up_closed()))
+    assert outcomes == {(True, True), (True, False), (False, True)}
 
 
 def _budget_feasible_oracle(poset, uncovered, s):
