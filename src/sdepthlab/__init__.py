@@ -56,6 +56,7 @@ from .partitions import (
     sdepth_poset,
     sdepth_quotient,
     to_stanley_decomposition,
+    verify_certificate,
     verify_partition,
     verify_stanley_decomposition,
 )

@@ -35,7 +35,8 @@ from .partitions import (
     SearchTimeout,
     sdepth_ideal,
     sdepth_quotient,
-    verify_partition,
+    verify_certificate,
+    verify_partition,  # noqa: F401  (wrapped by perfbench/tracing.py)
     verify_stanley_decomposition,
 )
 from .posets import alpha_formula, build_poset, default_box
@@ -74,7 +75,8 @@ def _parse_timeout(value: str) -> float:
     return seconds
 
 
-def _parse_threads(value: str) -> int:
+def _parse_count(value: str) -> int:
+    """A positive integer, for --arity and --threads."""
     try:
         count = int(value)
     except ValueError:
@@ -88,7 +90,7 @@ def _add_budget(sp) -> None:
     sp.add_argument("--timeout", type=_parse_timeout, default=60.0,
                     help="wall-clock budget in seconds for each Stanley "
                          "depth computation, all of its targets together")
-    sp.add_argument("--threads", type=_parse_threads, default=1,
+    sp.add_argument("--threads", type=_parse_count, default=1,
                     help="accepted and ignored: the search runs in one thread")
 
 
@@ -98,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Stanley depth computations for monomial ideals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, needs_input=True, needs_j=False, search=True):
+    def add_common(sp, *, needs_input=True, needs_j=False, box=False,
+                   budget=False, cache=True):
         # _load_ideals reads both, also where the flag does not exist
         sp.set_defaults(input_j=None, g=None)
         if needs_input:
@@ -108,46 +111,48 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input-j", required=True,
                             help="denominator ideal file")
         if needs_input:
-            sp.add_argument("--arity", type=int, default=None,
+            sp.add_argument("--arity", type=_parse_count, default=None,
                             help="ambient arity (default: inferred from inputs)")
-        if search:
+        if box:
             sp.add_argument("--g", type=_parse_g, metavar="K1,...,KN",
                             help="box corner override")
+        if budget:
             _add_budget(sp)
-        sp.add_argument("--cache", default=None, help="cache directory")
+        if cache:
+            sp.add_argument("--cache", default=None, help="cache directory")
         sp.add_argument("--out", default=None, help="write the document here")
         sp.add_argument("--format", choices=("text", "structured"),
                         default="text", help="stdout format")
 
-    add_common(sub.add_parser("sdepth", help="Stanley depth of an ideal"))
+    add_common(sub.add_parser("sdepth", help="Stanley depth of an ideal"),
+               box=True, budget=True)
     add_common(sub.add_parser("quotient",
                               help="Stanley depth of I/J (use a '1' file for S/J)"),
-               needs_j=True)
-    add_common(sub.add_parser("sat", help="saturation report of an ideal"),
-               search=False)
+               needs_j=True, box=True, budget=True)
+    add_common(sub.add_parser("sat", help="saturation report of an ideal"))
     add_common(sub.add_parser("janet", help="Janet decomposition of S/I"),
-               search=False)
+               cache=False)
 
     alpha = sub.add_parser("alpha", help="level counts of the m^k poset")
     alpha.add_argument("n", type=int)
     alpha.add_argument("k", type=int)
-    add_common(alpha, needs_input=False, search=False)
+    add_common(alpha, needs_input=False, cache=False)
 
     conj = sub.add_parser("conjecture", help="sdepth(m^k) sweep vs ceil(n/(k+1))")
     conj.add_argument("--n-min", type=int, default=1)
     conj.add_argument("--n-max", type=int, default=4)
     conj.add_argument("--k-min", type=int, default=1)
     conj.add_argument("--k-max", type=int, default=3)
-    _add_budget(conj)
-    add_common(conj, needs_input=False, search=False)
+    add_common(conj, needs_input=False, budget=True)
 
     mki = sub.add_parser("mki", help="sweep of |G(m^k I)| and sdepth(m^k I)")
-    add_common(mki, search=True)
+    add_common(mki, budget=True)
     mki.add_argument("--k-min", type=int, default=0)
     mki.add_argument("--k-max", type=int, default=4)
 
     add_common(sub.add_parser(
-        "remark17", help="compare sdepth(I) against sdepth(S/I) + 1"))
+        "remark17", help="compare sdepth(I) against sdepth(S/I) + 1"),
+        budget=True)
 
     verify = sub.add_parser("verify", help="re-check a stored certificate")
     verify.add_argument("certificate", help="certificate JSON path")
@@ -433,14 +438,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (KeyError, TypeError) as exc:
         raise IdealParseError(f"malformed certificate: {exc!r}", 1) from exc
     poset = build_poset(numerator, denominator, g)
-    check = verify_partition(poset, intervals, s)
-    failures = []
-    if len(poset) == 0:
-        failures.append("the poset is empty (the quotient module is zero)")
-    elif not check:
-        failures.append(check.reason)
-    elif min(poset.rho(iv.top) for iv in intervals) != s:
-        failures.append("partition witnesses a different s than recorded")
+    check = verify_certificate(poset, intervals, s)
+    failures = [] if check else [check.reason]
     if stored_hash != _ideal_hash(numerator, denominator, g):
         failures.append("ideal hash mismatch (stale or tampered certificate)")
     if failures:

@@ -239,8 +239,3 @@ class QuotientPresentation:
     @property
     def arity(self) -> int:
         return self.numerator.arity
-
-
-def quotient_ring_presentation(ideal: MonomialIdeal) -> QuotientPresentation:
-    """S/I as a quotient presentation (unit ideal over I)."""
-    return QuotientPresentation(unit_ideal(ideal.arity), ideal)

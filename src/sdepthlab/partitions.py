@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    contains,
     divides,
     maximal_power,  # noqa: F401  (public name, wrapped by perfbench/tracing.py)
 )
@@ -383,6 +382,18 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
     return CheckResult(True)
 
 
+def verify_certificate(poset: CharPoset, partition: IntervalPartition,
+                       s: int) -> CheckResult:
+    """The certificate rule: the poset is nonempty, the partition passes
+    `verify_partition` at s, and some top has rank exactly s."""
+    if len(poset) == 0:
+        return CheckResult(False, "the poset is empty (the quotient module is zero)")
+    check = verify_partition(poset, partition, s)
+    if check and min(poset.rho(iv.top) for iv in partition) != s:
+        return CheckResult(False, f"every top has rank above {s}")
+    return check
+
+
 def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
     """Public form of the level-budget feasibility test.
 
@@ -429,13 +440,9 @@ def sdepth_poset(poset: CharPoset, *, timeout_s: float = 60.0,
     else:
         raise AssertionError("target 0 is always feasible on a nonempty poset")
     total.elapsed_s = time.monotonic() - start
-    check = verify_partition(poset, partition, s)
+    check = verify_certificate(poset, partition, s)
     if not check:
         raise InternalVerificationError(check.reason)
-    witnessed = min(poset.rho(iv.top) for iv in partition)
-    if witnessed != s:
-        raise InternalVerificationError(
-            f"scan found target {s} but the partition witnesses {witnessed}")
     return SdepthCertificate(s, partition, total, poset)
 
 
@@ -477,24 +484,23 @@ def sdepth_quotient(numerator: MonomialIdeal, denominator: MonomialIdeal, *,
                     timeout_s: float = 60.0) -> SdepthCertificate:
     """Stanley depth of I/J (S/I when the numerator is the unit ideal)."""
     poset = build_poset(numerator, denominator, g)
-    ub = numerator.arity
-    if not denominator.is_zero and len(poset) > 0:
-        ub -= 1  # a proper quotient has torsion, hence is not free
-    return sdepth_poset(poset, timeout_s=timeout_s, upper_bound=ub)
+    return sdepth_poset(poset, timeout_s=timeout_s)
 
 
 def to_stanley_decomposition(poset: CharPoset,
                              partition: IntervalPartition) -> StanleyDecomposition:
-    """Convert a verified partition into Stanley spaces: interval [u, v]
-    becomes u * K[Z] with Z the variables where v meets the ceiling."""
+    """Convert a verified partition into Stanley spaces (Herzog, Vladoiu
+    and Zheng, Theorem 2.1): with Z the variables where v meets the ceiling,
+    [u, v] is the sum of the a * K[Z] over the a in [u, v] equal to u on Z."""
     check = verify_partition(poset, partition, 0)
     if not check:
         raise ValueError(f"refusing to convert an invalid partition: {check.reason}")
     spaces = []
-    for interval in partition:
-        z = frozenset(j + 1 for j in range(poset.arity)
-                      if interval.top[j] == poset.g[j])
-        spaces.append((interval.bottom, z))
+    for u, v in ((iv.bottom, iv.top) for iv in partition):
+        z = frozenset(j + 1 for j in range(poset.arity) if v[j] == poset.g[j])
+        spaces.extend((a, z) for a in itertools.product(
+            *((u[j],) if j + 1 in z else range(u[j], v[j] + 1)
+              for j in range(poset.arity))))
     return StanleyDecomposition(poset.arity, tuple(spaces))
 
 
@@ -502,29 +508,22 @@ def verify_stanley_decomposition(numerator: MonomialIdeal,
                                  denominator: MonomialIdeal,
                                  decomposition: StanleyDecomposition,
                                  cap: int) -> CheckResult:
-    """Degreewise check of the direct-sum property: inside the box of
+    """Degreewise check of the direct-sum property: inside the cube of
     monomials with all coordinates <= cap, every monomial of I minus J must
-    lie in exactly one space, and no other monomial in any."""
+    lie in exactly one space, and no other monomial in any.  There m * K[Z]
+    is the box interval [m, t], t_j = cap on Z and m_j elsewhere (empty if
+    some m_j > cap), so `verify_partition` decides the check on the
+    characteristic poset with corner (cap, ..., cap)."""
     n = numerator.arity
     g = default_box(numerator, denominator)
     if cap < sum(g):
         raise ValueError(f"cap {cap} is below the box degree {sum(g)}")
-    cover: dict[Monomial, int] = {}
+    intervals = []
     for m, z in decomposition.spaces:
         if len(m) != n:
             return CheckResult(False, f"space monomial {m} has wrong arity")
-        if any(e > cap for e in m):
-            continue  # no points inside the check box
-        ranges = [range(m[j], cap + 1) if (j + 1) in z else (m[j],)
-                  for j in range(n)]
-        for w in itertools.product(*ranges):
-            cover[w] = cover.get(w, 0) + 1
-    for w in itertools.product(range(cap + 1), repeat=n):
-        member = contains(numerator, w) and not contains(denominator, w)
-        hits = cover.get(w, 0)
-        if member and hits != 1:
-            kind = "uncovered" if hits == 0 else f"covered {hits} times"
-            return CheckResult(False, f"module monomial {w} is {kind}")
-        if not member and hits != 0:
-            return CheckResult(False, f"non-module monomial {w} is covered")
-    return CheckResult(True)
+        if all(e <= cap for e in m):
+            intervals.append(Interval(m, tuple(cap if j + 1 in z else e
+                                               for j, e in enumerate(m))))
+    cube = CharPoset(numerator, denominator, (cap,) * n)
+    return verify_partition(cube, IntervalPartition(tuple(intervals)), 0)

@@ -90,11 +90,12 @@ def _weights(dims) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _spread(cells: list[int], dims, upward: bool) -> None:
+def _spread(cells, dims, upward: bool) -> None:
     """OR each cell of a box, indexed by mixed-radix code, into every cell
     above it (upward) or below it (downward) in the componentwise order, in
-    place.  One prefix pass per axis suffices: a cell above another is
-    reached by raising one coordinate at a time."""
+    place; `cells` is a list of masks or a bytearray of flags.  One prefix
+    pass per axis suffices: a cell above another is reached by raising one
+    coordinate at a time."""
     size = len(cells)
     for stride, dim in zip(_weights(dims), dims):
         block = stride * dim
@@ -138,9 +139,9 @@ class CharPoset:
         self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
         self._dims = [b - a + 1 for a, b in zip(self._lo, g)]
         self._sub_weights = _weights(self._dims)
-        # Membership DP: bit 0 marks I, bit 1 marks J.  A generator seeds
-        # lcm(gen, lo), its least multiple inside the sub-box.
-        cells = [0] * math.prod(self._dims)
+        # Membership DP: bit 0 marks I, bit 1 marks J, one byte per cell.  A
+        # generator seeds lcm(gen, lo), its least multiple inside the sub-box.
+        cells = bytearray(math.prod(self._dims))
         for flag, ideal in ((1, numerator), (2, denominator)):
             for gen in ideal.generators:
                 seed = tuple(map(max, gen, self._lo))

@@ -115,3 +115,24 @@ def brute_force_saturation_members(gens, n, coordinate_cap, power) -> set:
         if all(pushed):
             out.add(u)
     return out
+
+
+def brute_force_decomposition_check(num_gens, den_gens, n, spaces,
+                                    cap) -> bool:
+    """Cube walk over [0, cap]^n: every monomial of I minus J lies in
+    exactly one space m * K[Z], and no other monomial lies in any.  Spaces
+    with an exponent above cap have no point in the cube and are skipped."""
+    cover = {}
+    for m, z in spaces:
+        if any(e > cap for e in m):
+            continue
+        ranges = [range(m[j], cap + 1) if (j + 1) in z else (m[j],)
+                  for j in range(n)]
+        for w in product(*ranges):
+            cover[w] = cover.get(w, 0) + 1
+    for w in product(range(cap + 1), repeat=n):
+        member = (member_of_ideal(num_gens, w)
+                  and not member_of_ideal(den_gens, w))
+        if cover.get(w, 0) != (1 if member else 0):
+            return False
+    return True

@@ -210,6 +210,26 @@ def test_threads_flag_changes_no_document(tmp_path, m5_file):
     assert sweeps[0] == sweeps[1]
 
 
+def test_arity_must_be_positive(tmp_path, capsys):
+    path = _write(tmp_path / "m2.txt", "x1\nx2\n")
+    for arity in ("0", "-1", "two"):
+        assert main(["sdepth", "--input", path, "--arity", arity]) == 2
+        assert "count >= 1" in capsys.readouterr().err
+    assert main(["janet", "--input", path, "--arity", "-1"]) == 2
+
+
+def test_flags_no_handler_reads_are_rejected(tmp_path):
+    """mki and remark17 have no box override (a --g only re-embedded the
+    ideal through its length), and janet and alpha keep no cache."""
+    m2 = _write(tmp_path / "m2.txt", "x1\nx2\n")
+    cache = tmp_path / "cache"
+    assert main(["mki", "--input", m2, "--g", "9,9,9"]) == 2
+    assert main(["remark17", "--input", m2, "--g", "1,1"]) == 2
+    assert main(["janet", "--input", m2, "--cache", str(cache)]) == 2
+    assert main(["alpha", "2", "1", "--cache", str(cache)]) == 2
+    assert not cache.exists()
+
+
 def test_g_override(tmp_path, capsys):
     path = _write(tmp_path / "i.txt", "x1*x2\n")
     assert main(["sdepth", "--input", path, "--g", "2,2"]) == 0

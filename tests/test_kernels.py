@@ -131,6 +131,11 @@ def test_intrinsic_upper_bound(oracle_posets):
     for p in oracle_posets:
         ub = partitions._get_searcher(p).intrinsic_upper_bound()
         assert ub == _upper_bound_oracle(p)
+        if len(p) > 0 and any(divides_raw(gen, p.g)
+                              for gen in p.denominator.generators):
+            # g lies in J, so no element has rank n: a proper quotient
+            # needs no separate cap at n - 1
+            assert ub <= p.arity - 1
         if 0 < len(p) <= 12:
             assert ub >= brute_force_sdepth(p.elements, p.g)
             small += 1

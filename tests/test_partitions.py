@@ -3,16 +3,19 @@ import time
 
 import pytest
 
-from bruteforce import brute_force_sdepth
+from bruteforce import brute_force_decomposition_check, brute_force_sdepth
 from corpus import exhaustive_ideals
 from sdepthlab import (
     Interval,
     IntervalPartition,
     SearchStats,
     SearchTimeout,
+    StanleyDecomposition,
     build_poset,
     counting_prune,
+    default_box,
     exists_partition,
+    janet_decomposition,
     maximal_power,
     maximal_power_poset,
     minimalize,
@@ -21,6 +24,7 @@ from sdepthlab import (
     sdepth_quotient,
     to_stanley_decomposition,
     unit_ideal,
+    verify_certificate,
     verify_partition,
     verify_stanley_decomposition,
     zero_ideal,
@@ -295,6 +299,74 @@ def test_verify_stanley_decomposition_cap_validation():
     d = to_stanley_decomposition(cert.poset, cert.partition)
     with pytest.raises(ValueError):
         verify_stanley_decomposition(ideal, zero_ideal(2), d, 1)
+
+
+def _tampered(decomposition, cap, rng, kind):
+    """A copy of the decomposition with one edit of the given kind."""
+    n = decomposition.arity
+    spaces = list(decomposition.spaces)
+    i = rng.randrange(len(spaces))
+    m, z = spaces[i]
+    if kind == "drop":
+        del spaces[i]
+    elif kind == "duplicate":
+        spaces.append(spaces[i])
+    elif kind == "shift":
+        j = rng.randrange(n)
+        step = rng.choice((-1, 1)) if m[j] > 0 else 1
+        spaces[i] = (m[:j] + (m[j] + step,) + m[j + 1:], z)
+    elif kind == "toggle":
+        spaces[i] = (m, z ^ {rng.randrange(n) + 1})
+    else:  # a stray space
+        stray = tuple(rng.randint(0, cap) for _ in range(n))
+        spaces.append((stray, frozenset(j for j in range(1, n + 1)
+                                        if rng.random() < 0.5)))
+    return StanleyDecomposition(n, tuple(spaces))
+
+
+def test_decomposition_check_matches_cube_walk(small_corpus):
+    """verify_stanley_decomposition against the cube walk of
+    tests/bruteforce.py, on Janet decompositions of S/I, decompositions of
+    I/J from certificates, and tampered copies of both."""
+    rng = random.Random(20261018)
+    cases = []
+    for ideal in small_corpus:
+        cases.append((unit_ideal(ideal.arity), ideal,
+                      janet_decomposition(ideal)))
+    for ideal in rng.sample([i for i in small_corpus if not i.is_zero], 200):
+        n = ideal.arity
+        shifted = minimalize([tuple(e + 1 for e in g)
+                              for g in ideal.generators], n)
+        cert = sdepth_quotient(ideal, shifted)
+        cases.append((ideal, shifted,
+                      to_stanley_decomposition(cert.poset, cert.partition)))
+    kinds = ("drop", "duplicate", "shift", "toggle", "stray")
+    verdicts = {True: 0, False: 0}
+    for index, (num, den, decomposition) in enumerate(cases):
+        cap = max(sum(default_box(num, den)), 1)
+        for d in (decomposition,
+                  _tampered(decomposition, cap, rng, kinds[index % 5])):
+            verdict = bool(verify_stanley_decomposition(num, den, d, cap))
+            assert verdict == brute_force_decomposition_check(
+                num.generators, den.generators, d.arity, d.spaces, cap)
+            verdicts[verdict] += 1
+    assert sum(verdicts.values()) >= 2000
+    assert verdicts[True] >= len(cases) and verdicts[False] > 800
+
+
+def test_verify_certificate_rule():
+    cert = sdepth_ideal(maximal_power(3, 1))
+    assert verify_certificate(cert.poset, cert.partition, cert.s)
+    check = verify_certificate(cert.poset, cert.partition, cert.s - 1)
+    assert not check and "every top has rank above 1" in check.reason
+    assert not verify_certificate(cert.poset, cert.partition, cert.s + 1)
+    dropped = IntervalPartition(cert.partition.intervals[1:])
+    check = verify_certificate(cert.poset, dropped, cert.s)
+    assert not check and "uncovered" in check.reason
+    ideal = maximal_power(2, 1)
+    check = verify_certificate(build_poset(ideal, ideal), IntervalPartition(()),
+                               0)
+    assert not check and "poset is empty" in check.reason
 
 
 def test_brute_force_agreement_on_power_posets():

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from sdepthlab import (
+    CharPoset,
     alpha_enumerate,
     alpha_formula,
     build_poset,
@@ -175,3 +177,18 @@ def test_empty_and_degenerate_posets():
     q = build_poset(unit_ideal(2), zero_ideal(2))
     assert q.elements == ((0, 0),)
     assert q.rho((0, 0)) == 2
+
+
+def test_poset_build_takes_a_byte_per_box_cell():
+    """The membership DP keeps one byte of flags per cell of the walked
+    sub-box: m/m^2 in 6 variables inside (5,...,5) walks all 6^6 cells but
+    keeps only the 6 variables."""
+    cells = 6 ** 6
+    tracemalloc.start()
+    try:
+        poset = CharPoset(maximal_power(6, 1), maximal_power(6, 2), (5,) * 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(poset) == 6
+    assert peak < 2 * cells
