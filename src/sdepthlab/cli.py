@@ -94,7 +94,11 @@ def _add_budget(sp) -> None:
                     help="accepted and ignored: the search runs in one thread")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs about
+    thirty parses, and `parse_args` fills a fresh namespace on every call,
+    so calls share no state through it."""
     parser = argparse.ArgumentParser(
         prog="sdepthlab",
         description="Exact Stanley depth computations for monomial ideals")

@@ -13,11 +13,15 @@ is an exact-cover style backtracker over bitmask states:
   the forced degree-(d+1) elements of the intervals that still must start at
   degree d.
 
-All of it runs on bitmasks over element indices.  Each element has two
-closure masks from the poset (`CharPoset.closure_masks`): below[i], the
-elements dividing it, and above[i], the elements it divides.  The interval
-[u, v] is above[u] & below[v], and candidate tops are the bits of above[i]
-of rank at least s.  No interval needs a test for holes, by this lemma:
+All of it runs on bitmasks indexed by the mixed-radix cell code of each
+element in the sub-box [lo, g] of the poset (`CharPoset.codes`).  Code
+order is lex order, so the lowest set bit is the lex-least element, and
+multiplying by x_j is a left shift by the stride of axis j, masked to the
+cells below the ceiling of that axis.  Each cell has two closure masks
+from the poset (`CharPoset.closure_masks`): below[c], the elements
+dividing it, and above[c], the elements it divides.  The interval [u, v]
+is above[u] & below[v], and candidate tops are the bits of above[u] of
+rank at least s.  No interval needs a test for holes, by this lemma:
 
   Convexity.  The characteristic poset of I/J is convex: if u | w | v with
   u and v in the poset, then w is in the poset.  Proof: w lies in the box
@@ -27,7 +31,25 @@ of rank at least s.  No interval needs a test for holes, by this lemma:
 So the box interval between any two dividing elements lies in the poset,
 every multiple of a bottom is a valid top, and the elements between u and
 v are exactly the box interval [u, v].  The counting prune reads level
-sizes as popcounts of per-degree masks.
+sizes as popcounts of per-degree masks, and finds the minimal uncovered
+elements by shifts:
+
+  Shifted minimal set.  Let U be the uncovered set and up(U) its up-closure
+  in the sub-box, the cells divisible by an element of U.  An element u of
+  U is minimal in U iff no other element of U divides it, iff u is not a
+  one-step multiple u' * x_j of a cell u' of up(U) (if v | u with v != u,
+  some u' = u / x_j is still a multiple of v).  One shift per axis gives
+  those one-step multiples; up(U) takes ceil(log2 dim_j) doubling shifts
+  per axis, each pass doubling the reach along that axis.  Only elements
+  of rank < s can force anything, and every divisor of such an element
+  again has rank < s (the rank counts coordinates at the ceiling, which a
+  divisor can only lose), so the closure starts from those elements alone.
+
+  Memo before prune.  The search consults its failed-state memo before
+  the prune.  A state enters the memo only after it passed the prune at
+  the same target, and the prune is a function of the state and the
+  target, so a memo hit would have passed the prune again: the order
+  changes no node, prune or partition.
 
 Feasibility at s = 0 (singletons) and, for up-closed posets, at s = 1
 (fibers along the last coordinate) admit direct constructions, so the
@@ -142,52 +164,87 @@ _FAILED_MEMO_BYTES = 4 << 20
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls.
 
-    below[i] and above[i] are the closure masks of element i: the poset
-    elements dividing it and those it divides, itself included.  The poset
-    is convex (module docstring), so above[u] & below[v] is the whole
-    interval [u, v] for any u | v.  Level and rank masks let the counting
-    prune count by popcount and the candidates filter by rank.
+    Masks are over sub-box cell codes (module docstring).  below[c] and
+    above[c] are the closure masks of cell c: the poset elements dividing
+    it and those it divides.  The poset is convex, so above[u] & below[v]
+    is the whole interval [u, v] for any u | v.  Level and rank masks let
+    the counting prune count by popcount and the candidates filter by rank;
+    deg and rho are indexed by cell code.  `steps` holds one (stride,
+    keep) pair per axis of side > 1, `keep` the cells below its ceiling,
+    and `passes` the (shift, keep) pairs of the doubling passes of the
+    up-closure.
     """
 
     def __init__(self, poset: CharPoset):
         self.poset = poset
-        elems = poset.elements
-        self.m = len(elems)
-        self.full_mask = (1 << self.m) - 1
-        self.deg = [sum(u) for u in elems]
-        self.rho = [poset.rho(u) for u in elems]
+        self.codes = poset.codes
+        self.m = len(self.codes)
+        cells = math.prod(poset.dims)
+        self.full_mask = sum(1 << c for c in self.codes)
+        self.deg = [0] * cells
+        self.rho = [0] * cells
         self.up_closed = poset.is_up_closed()
         self.below, self.above = poset.closure_masks()
         # level[d]: elements of degree d; rank_below[s]: elements of rank < s
         self.level = [0] * (sum(poset.g) + 2)
         by_rank = [0] * (poset.arity + 1)
-        for i in range(self.m):
-            self.level[self.deg[i]] |= 1 << i
-            by_rank[self.rho[i]] |= 1 << i
+        for c, u in zip(self.codes, poset.elements):
+            self.deg[c] = sum(u)
+            self.rho[c] = poset.rho(u)
+            self.level[self.deg[c]] |= 1 << c
+            by_rank[self.rho[c]] |= 1 << c
         self.rank_below = list(itertools.accumulate(by_rank, operator.or_,
                                                     initial=0))
-        # covers[i]: the elements elems[i] * x_j, its multiples one degree up
-        self.covers = [self.above[i] & self.level[self.deg[i] + 1]
-                       for i in range(self.m)]
+        # covers[c]: the elements u * x_j, the multiples of u one degree up
+        self.covers = [0] * cells
+        for c in self.codes:
+            self.covers[c] = self.above[c] & self.level[self.deg[c] + 1]
+        everything = (1 << cells) - 1
+        self.steps: list[tuple[int, int]] = []
+        self.passes: list[tuple[int, int]] = []
+        for stride, dim in zip(poset.strides, poset.dims):
+            # one bit per block of stride * dim cells that share the digits
+            # of the axes before this one
+            repeat = everything // ((1 << stride * dim) - 1)
+            k = 1
+            while k < dim:
+                # the cells whose digit on this axis is below dim - k
+                keep = ((1 << stride * (dim - k)) - 1) * repeat
+                self.passes.append((stride * k, keep))
+                if k == 1:
+                    self.steps.append((stride, keep))
+                k *= 2
         self._candidates_cache: dict[tuple[int, int], list[int]] = {}
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
 
-    def _candidates(self, i: int, s: int) -> list[int]:
-        """Tops of the intervals at bottom i with rank >= s, in decreasing
+    def _candidates(self, c: int, s: int) -> list[int]:
+        """Tops of the intervals at bottom c with rank >= s, in decreasing
         degree, then lex order.  By convexity these are all the multiples
-        of elems[i] of rank >= s."""
-        key = (i, s)
+        of the element at c of rank >= s."""
+        key = (c, s)
         cached = self._candidates_cache.get(key)
         if cached is None:
             cached = []
-            bits = self.above[i] & ~self.rank_below[s]
+            bits = self.above[c] & ~self.rank_below[s]
             while bits:
                 low = bits & -bits
                 cached.append(low.bit_length() - 1)
                 bits ^= low
-            cached.sort(key=lambda j: -self.deg[j])  # stable: lex within a degree
+            cached.sort(key=lambda v: -self.deg[v])  # stable: lex within a degree
             self._candidates_cache[key] = cached
         return cached
+
+    def minimal(self, mask: int) -> int:
+        """The elements of `mask` that no other element of it divides: the
+        cells of `mask` that are not one step above its up-closure (module
+        docstring, "Shifted minimal set")."""
+        up = mask
+        for shift, keep in self.passes:
+            up |= (up & keep) << shift
+        above_up = 0
+        for shift, keep in self.steps:
+            above_up |= (up & keep) << shift
+        return mask & ~above_up
 
     def budget_feasible(self, uncovered: int, s: int) -> bool:
         """Counting prune.  Every element minimal in the uncovered set must
@@ -195,22 +252,26 @@ class _Searcher:
         covers of it one degree up; the forced elements of distinct bottoms
         are distinct.  Returns False only when no completion can exist.
 
-        Only uncovered elements of rank < s can force anything, so only
-        they are walked; level sizes are popcounts of the level masks."""
+        Only minimal elements of rank < s force anything.  They are found by
+        shifts (module docstring, "Shifted minimal set"): the up-closure of
+        the uncovered elements of rank < s, one step up, masks out every
+        element with an uncovered proper divisor.  Only the minimal ones
+        are walked, and level sizes are popcounts of the level masks.  The
+        search consults its failed-state memo first ("Memo before prune"),
+        which changes no outcome."""
         if s <= 0:
             return True
+        walk = self.minimal(uncovered & self.rank_below[s])
         needs: dict[int, int] = {}
-        walk = uncovered & self.rank_below[s]
         while walk:
             low = walk & -walk
-            i = low.bit_length() - 1
+            c = low.bit_length() - 1
             walk ^= low
-            if self.below[i] & uncovered == low:
-                need = s - self.rho[i]
-                if (self.covers[i] & uncovered).bit_count() < need:
-                    return False
-                d = self.deg[i]
-                needs[d] = needs.get(d, 0) + need
+            need = s - self.rho[c]
+            if (self.covers[c] & uncovered).bit_count() < need:
+                return False
+            d = self.deg[c]
+            needs[d] = needs.get(d, 0) + need
         for d, req in needs.items():
             if req > (self.level[d + 1] & uncovered).bit_count():
                 return False
@@ -219,7 +280,7 @@ class _Searcher:
     def decide(self, s: int, timeout_s: float, use_prune: bool,
                stats: SearchStats) -> list[tuple[int, int]] | None:
         """Exhaustive search for a full cover with all tops of rank >= s.
-        Returns (bottom, top) index pairs or None if none exists.
+        Returns (bottom, top) cell-code pairs or None if none exists.
 
         Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
         once it is full it takes no more states.  The memo only spares
@@ -228,7 +289,8 @@ class _Searcher:
         times what the hardest solved instances of the benchmark ladders
         fill (0.7 MiB for S/I quotients of about 70 elements and 13k nodes)
         and holds about 11k masks at |P| = 2047; unbounded, the memo grew
-        RSS by about 90 MB in 40 s on m with n = 12.
+        RSS by about 90 MB in 40 s on m with n = 12.  The memo is consulted
+        before the prune, which changes no counter (module docstring).
         """
         deadline = time.monotonic() + timeout_s
         below, above = self.below, self.above
@@ -244,10 +306,10 @@ class _Searcher:
             if time.monotonic() > deadline:
                 raise SearchTimeout(
                     f"time ran out with target {s} open", stats)
+            if uncovered in failed:
+                return None
             if use_prune and not self.budget_feasible(uncovered, s):
                 stats.prunes += 1
-                return None
-            if uncovered in failed:
                 return None
             w = (uncovered & -uncovered).bit_length() - 1
             # [w, v] fits in the uncovered set iff it misses the covered
@@ -271,7 +333,7 @@ class _Searcher:
         return chosen
 
     def singleton_partition(self) -> list[tuple[int, int]]:
-        return [(i, i) for i in range(self.m)]
+        return [(c, c) for c in self.codes]
 
     def fiber_partition(self) -> list[tuple[int, int]]:
         """Partition an up-closed poset into last-coordinate fibers; each
@@ -289,7 +351,7 @@ class _Searcher:
                 j += 1
             top = prefix + (poset.g[-1],)
             assert elems[j] == top and j - i == top[-1] - elems[i][-1]
-            out.append((i, j))
+            out.append((self.codes[i], self.codes[j]))
             i = j + 1
         return out
 
@@ -299,9 +361,9 @@ class _Searcher:
         highest-ranked of its multiples.  On a nonempty up-closed poset
         the corner g is above every element, so the bound is n."""
         ub = self.poset.arity
-        for i in range(self.m):
-            if self.below[i] == 1 << i:
-                while not self.above[i] & ~self.rank_below[ub]:
+        for c in self.codes:
+            if self.below[c] == 1 << c:
+                while not self.above[c] & ~self.rank_below[ub]:
                     ub -= 1
         return ub
 
@@ -316,9 +378,10 @@ def _get_searcher(poset: CharPoset) -> _Searcher:
 
 def _pairs_to_partition(poset: CharPoset,
                         pairs: list[tuple[int, int]]) -> IntervalPartition:
-    elems = poset.elements
+    """Map (bottom, top) cell-code pairs back to monomials."""
+    element = dict(zip(poset.codes, poset.elements))
     return IntervalPartition(tuple(
-        Interval(elems[i], elems[j]) for i, j in pairs))
+        Interval(element[u], element[v]) for u, v in pairs))
 
 
 def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
@@ -405,7 +468,7 @@ def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
     searcher = _get_searcher(poset)
     mask = 0
     for u in uncovered:
-        mask |= 1 << poset.position(u)
+        mask |= 1 << poset.codes[poset.position(u)]
     return searcher.budget_feasible(mask, s)
 
 
@@ -417,6 +480,8 @@ def sdepth_poset(poset: CharPoset, *, timeout_s: float = 60.0,
 
     `timeout_s` bounds the whole scan: each decision gets only the time
     left by the ones before it, and SearchTimeout names the open target.
+    `sdepth_ideal` and `sdepth_quotient` pass what the poset build and the
+    search set-up left of their budget.
     """
     if len(poset) == 0:
         raise ValueError("the poset is empty (the quotient module is zero)")
@@ -462,29 +527,39 @@ def _pure_power_degree(ideal: MonomialIdeal) -> int | None:
     return None
 
 
+def _build_and_scan(numerator: MonomialIdeal,
+                    denominator: MonomialIdeal | None, g: Monomial | None,
+                    timeout_s: float, **scan) -> SdepthCertificate:
+    """Build the poset and its searcher, then scan with what is left of
+    `timeout_s`, so that the budget bounds the build and set-up too."""
+    start = time.monotonic()
+    poset = build_poset(numerator, denominator, g)
+    _get_searcher(poset)
+    return sdepth_poset(poset, timeout_s=timeout_s - (time.monotonic() - start),
+                        **scan)
+
+
 def sdepth_ideal(ideal: MonomialIdeal, *, g: Monomial | None = None,
                  timeout_s: float = 60.0,
                  use_prune: bool = True) -> SdepthCertificate:
     """Stanley depth of a nonzero monomial ideal, with certificate."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no Stanley depth")
-    poset = build_poset(ideal, None, g)
     ub = ideal.arity
     k = _pure_power_degree(ideal)
     if k is not None:
         # scan from one above the conjectured value; the counting prune
         # settles the region above it immediately
         ub = min(ub, -(-ideal.arity // (k + 1)) + 1)
-    return sdepth_poset(poset, timeout_s=timeout_s, use_prune=use_prune,
-                        upper_bound=ub)
+    return _build_and_scan(ideal, None, g, timeout_s, use_prune=use_prune,
+                           upper_bound=ub)
 
 
 def sdepth_quotient(numerator: MonomialIdeal, denominator: MonomialIdeal, *,
                     g: Monomial | None = None,
                     timeout_s: float = 60.0) -> SdepthCertificate:
     """Stanley depth of I/J (S/I when the numerator is the unit ideal)."""
-    poset = build_poset(numerator, denominator, g)
-    return sdepth_poset(poset, timeout_s=timeout_s)
+    return _build_and_scan(numerator, denominator, g, timeout_s)
 
 
 def to_stanley_decomposition(poset: CharPoset,

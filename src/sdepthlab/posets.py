@@ -17,7 +17,9 @@ build and the closure masks of the search therefore walk only the sub-box
 [lo, g], by dynamic programming over its mixed-radix cell codes: a cell is
 in an ideal iff it is a generator or a cell one step below it is in the
 ideal, and a cell's closure mask is its own bit ORed with those of the
-cells one step below (or above) it.
+cells one step below (or above) it.  The search indexes its bitmasks by
+the same cell codes, so multiplying by x_j is a left shift by the stride
+of axis j.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ class CharPoset:
     most significant digit), which coincides with lexicographic order on
     exponent tuples and is a linear extension of divisibility.  They are
     found by the membership DP over the sub-box [lo, g] (module docstring).
+    `codes[i]` is the cell code of element i in that sub-box, whose side
+    lengths are `dims` and whose axis strides are `strides`.
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -137,23 +141,23 @@ class CharPoset:
         self._weights = _weights([e + 1 for e in g])
         gens = numerator.generators
         self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
-        self._dims = [b - a + 1 for a, b in zip(self._lo, g)]
-        self._sub_weights = _weights(self._dims)
+        self.dims = tuple(b - a + 1 for a, b in zip(self._lo, g))
+        self.strides = _weights(self.dims)
         # Membership DP: bit 0 marks I, bit 1 marks J, one byte per cell.  A
         # generator seeds lcm(gen, lo), its least multiple inside the sub-box.
-        cells = bytearray(math.prod(self._dims))
+        cells = bytearray(math.prod(self.dims))
         for flag, ideal in ((1, numerator), (2, denominator)):
             for gen in ideal.generators:
                 seed = tuple(map(max, gen, self._lo))
                 if all(a <= b for a, b in zip(seed, g)):
                     cells[self._sub_code(seed)] |= flag
-        _spread(cells, self._dims, upward=True)
+        _spread(cells, self.dims, upward=True)
         # product order over the sub-box is lex == mixed-radix code order
-        self.elements: tuple[Monomial, ...] = tuple(
-            u for u, flags in zip(
-                itertools.product(*(range(a, b + 1)
-                                    for a, b in zip(self._lo, g))), cells)
-            if flags == 1)
+        found = [(c, u) for c, (u, flags) in enumerate(zip(
+            itertools.product(*(range(a, b + 1) for a, b in zip(self._lo, g))),
+            cells)) if flags == 1]
+        self.codes: tuple[int, ...] = tuple(c for c, _ in found)
+        self.elements: tuple[Monomial, ...] = tuple(u for _, u in found)
         self._position = {u: i for i, u in enumerate(self.elements)}
 
     def __len__(self) -> int:
@@ -168,22 +172,21 @@ class CharPoset:
 
     def _sub_code(self, u: Monomial) -> int:
         """Mixed-radix code of u in the sub-box [lo, g], ordered as `code`."""
-        return sum((e - a) * w
-                   for e, a, w in zip(u, self._lo, self._sub_weights))
+        return sum((e - a) * w for e, a, w in zip(u, self._lo, self.strides))
 
     def closure_masks(self) -> tuple[list[int], list[int]]:
-        """Per element i, bitmasks over element indices: below[i] holds the
-        elements dividing element i and above[i] the elements it divides,
-        i itself included in both.  Each element's bit is spread over the
-        sub-box cells above it (for below) and below it (for above)."""
-        below = [0] * math.prod(self._dims)
-        codes = [self._sub_code(u) for u in self.elements]
-        for i, c in enumerate(codes):
-            below[c] = 1 << i
+        """Per sub-box cell c, bitmasks over the cell codes of elements:
+        below[c] holds the elements dividing cell c and above[c] the
+        elements cell c divides, c itself included when it is an element.
+        Each element's bit is spread over the sub-box cells above it (for
+        below) and below it (for above)."""
+        below = [0] * math.prod(self.dims)
+        for c in self.codes:
+            below[c] = 1 << c
         above = below[:]
-        _spread(below, self._dims, upward=True)
-        _spread(above, self._dims, upward=False)
-        return [below[c] for c in codes], [above[c] for c in codes]
+        _spread(below, self.dims, upward=True)
+        _spread(above, self.dims, upward=False)
+        return below, above
 
     def position(self, u: Monomial) -> int:
         """Index of u in the code-sorted element list."""

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from sdepthlab.cli import _ideal_hash, main
+import sdepthlab
+from sdepthlab.cli import _ideal_hash, build_parser, main
 from sdepthlab.formats import ideal_to_structured, parse_ideal
 
 
@@ -50,6 +55,31 @@ def test_sdepth_zero_ideal_rejected(tmp_path):
 def test_usage_error_exit_code():
     assert main(["sdepth"]) == 2  # --input is required
     assert main(["unknown-command"]) == 2
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once per process; no default, override or
+    argparse error carries over from one call into the next, so later calls
+    write what a fresh process writes."""
+    assert build_parser() is build_parser()
+    path = _write(tmp_path / "m3.txt", "x1\nx2\nx3\n")
+    fresh = tmp_path / "fresh.json"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(sdepthlab.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-m", "sdepthlab.cli", "sdepth",
+                    "--input", path, "--out", str(fresh)],
+                   check=True, env=env, capture_output=True, timeout=60)
+    wide = tmp_path / "wide.json"
+    assert main(["sdepth", "--input", path, "--g", "2,2,2",
+                 "--out", str(wide)]) == 0
+    assert json.loads(wide.read_text())["g"] == [2, 2, 2]
+    after_g = tmp_path / "after_g.json"
+    assert main(["sdepth", "--input", path, "--out", str(after_g)]) == 0
+    assert main(["sdepth", "--input", path, "--g", "x"]) == 2
+    after_error = tmp_path / "after_error.json"
+    assert main(["sdepth", "--input", path, "--out", str(after_error)]) == 0
+    assert after_g.read_bytes() == after_error.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
 
 
 def test_quotient_residue_field(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Oracle tests for the bitmask kernels of the poset build and the search:
 membership DP, closure masks, the convexity that makes interval masks need
 no hole test, candidate order, the upper bound, the up-closure test, the
-popcount counting prune and the bounded failed-state memo."""
+minimal elements found by shifts, the popcount counting prune and the
+bounded failed-state memo.
+
+The search masks are indexed by sub-box cell code; the oracles here work on
+element indices, and `_to_cells` translates their masks."""
 
 import hashlib
 import itertools
@@ -46,6 +50,11 @@ def kernel_posets(small_corpus):
                                   for g in ideal.generators], n)
             posets.append(build_poset(ideal, shifted))
     return [p for p in posets if len(p) > 0]
+
+
+def _to_cells(poset, mask):
+    """The cell-code mask of an element-index mask."""
+    return sum(1 << c for i, c in enumerate(poset.codes) if mask >> i & 1)
 
 
 def test_membership_dp_matches_contains(small_corpus):
@@ -97,19 +106,22 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
         index = {u: i for i, u in enumerate(elems)}
         rho = [p.rho(u) for u in elems]
         divides = [[divides_raw(u, v) for v in elems] for u in elems]
+        codes = p.codes
         for i, u in enumerate(elems):
             multiples = [j for j in range(len(elems)) if divides[i][j]]
-            assert above[i] == sum(1 << j for j in multiples)
-            assert below[i] == sum(1 << j for j in range(len(elems))
-                                   if divides[j][i])
+            assert above[codes[i]] == _to_cells(
+                p, sum(1 << j for j in multiples))
+            assert below[codes[i]] == _to_cells(
+                p, sum(1 << j for j in range(len(elems)) if divides[j][i]))
             order = sorted(multiples, key=lambda j: (-sum(elems[j]), elems[j]))
             for s in range(p.arity + 1):
-                assert searcher._candidates(i, s) == [j for j in order
-                                                      if rho[j] >= s]
+                assert searcher._candidates(codes[i], s) == [
+                    codes[j] for j in order if rho[j] >= s]
             for j in multiples:
                 cell = box_interval(u, elems[j])
                 assert all(w in index for w in cell)
-                assert above[i] & below[j] == sum(1 << index[w] for w in cell)
+                assert above[codes[i]] & below[codes[j]] == _to_cells(
+                    p, sum(1 << index[w] for w in cell))
                 convex_pairs += 1
     assert convex_pairs > 100_000
 
@@ -196,10 +208,38 @@ def test_budget_feasible_matches_per_element_oracle(kernel_posets):
         for _ in range(3):
             uncovered = rng.getrandbits(m) | (1 << rng.randrange(m))
             for s in range(1, p.arity + 1):
-                got = searcher.budget_feasible(uncovered, s)
+                got = searcher.budget_feasible(_to_cells(p, uncovered), s)
                 assert got == _budget_feasible_oracle(p, uncovered, s)
                 pruned += not got
     assert pruned > 100  # the comparison covers both outcomes
+
+
+def test_minimal_by_shifts_matches_divisibility(oracle_posets,
+                                                small_corpus):
+    """The shift-computed minimal set against plain divisibility, on random
+    element sets and on every pair of the lex-least element with another
+    (on S/I that pair spans every offset of the box), also on boxes set
+    with g whose sub-box sides reach 5, so that the doubling passes of the
+    up-closure run with reaches of 1, 2 and 4 steps along an axis."""
+    rng = random.Random(47)
+    wide = [build_poset(unit_ideal(ideal.arity), ideal, (4,) * ideal.arity)
+            for ideal in rng.sample(small_corpus, 60) if not ideal.is_zero]
+    sides = set()
+    for p in oracle_posets + wide:
+        searcher = partitions._get_searcher(p)
+        elems = p.elements
+        m = len(elems)
+        masks = [rng.getrandbits(m) for _ in range(3)]
+        masks += [1 | 1 << j for j in range(1, m)]
+        for mask in masks:
+            chosen = [i for i in range(m) if mask >> i & 1]
+            minimal = [i for i in chosen
+                       if not any(j != i and divides_raw(elems[j], elems[i])
+                                  for j in chosen)]
+            assert searcher.minimal(_to_cells(p, mask)) == _to_cells(
+                p, sum(1 << i for i in minimal))
+        sides.update(p.dims)
+    assert max(sides) >= 5
 
 
 _small_gens = st.lists(
@@ -239,19 +279,22 @@ def _digest(cert) -> str:
     return hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("solve, s, nodes, digest", [
-    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 54, "da83f919a3b863cc"),
-    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 146, "62bc2e990d604e60"),
-    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 391, "aa6778322cfb5477"),
-    (lambda: sdepth_quotient(unit_ideal(5), MIDHARD), 2, 4280,
+@pytest.mark.parametrize("solve, s, nodes, prunes, digest", [
+    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 54, 31, "da83f919a3b863cc"),
+    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 146, 112,
+     "62bc2e990d604e60"),
+    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 391, 319,
+     "aa6778322cfb5477"),
+    (lambda: sdepth_quotient(unit_ideal(5), MIDHARD), 2, 4280, 28,
      "a766e730ecb2df04"),
 ], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I"])
-def test_search_is_deterministic(solve, s, nodes, digest):
-    """Node counts do not depend on the machine: any change of the search
-    order, the prunes or the memo shows here, as does any other partition
-    (the digest covers the interval list in order)."""
+def test_search_is_deterministic(solve, s, nodes, prunes, digest):
+    """Node and prune counts do not depend on the machine: any change of the
+    search order, the prunes or the memo shows here, as does any other
+    partition (the digest covers the interval list in order)."""
     cert = solve()
-    assert (cert.s, cert.stats.nodes, _digest(cert)) == (s, nodes, digest)
+    assert (cert.s, cert.stats.nodes, cert.stats.prunes, _digest(cert)) == (
+        s, nodes, prunes, digest)
 
 
 def test_tiny_memo_budget_keeps_the_answer(monkeypatch):

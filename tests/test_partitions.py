@@ -241,6 +241,26 @@ def test_scan_shares_one_budget(monkeypatch):
     assert given[-1] < 30.0  # later decisions do not restart the clock
 
 
+@pytest.mark.parametrize("solve, target", [
+    (lambda: sdepth_ideal(maximal_power(5, 1), timeout_s=0.1), 4),
+    (lambda: sdepth_quotient(maximal_power(5, 1), zero_ideal(5),
+                             timeout_s=0.1), 5),
+], ids=["ideal", "quotient"])
+def test_budget_covers_the_poset_build(monkeypatch, solve, target):
+    """The clock starts before the poset build: a build that takes longer
+    than the budget leaves the scan none, and the timeout names the open
+    target."""
+    original = partitions.build_poset
+
+    def slow_build(*args):
+        time.sleep(0.2)
+        return original(*args)
+
+    monkeypatch.setattr(partitions, "build_poset", slow_build)
+    with pytest.raises(SearchTimeout, match=f"target {target} open"):
+        solve()
+
+
 def test_pure_power_recognition_is_linear_in_generators():
     # one-element poset; rebuilding m^10 in 6 variables would take seconds
     start = time.perf_counter()
