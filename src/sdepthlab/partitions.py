@@ -17,8 +17,8 @@ All of it runs on bitmasks indexed by the mixed-radix cell code of each
 element in the sub-box [lo, g] of the poset (`CharPoset.codes`).  Code
 order is lex order, so the lowest set bit is the lex-least element, and
 multiplying by x_j is a left shift by the stride of axis j, masked to the
-cells below the ceiling of that axis.  Each cell has two closure masks
-from the poset (`CharPoset.closure_masks`): below[c], the elements
+cells below the ceiling of that axis.  Each element c has two closure
+masks from the poset (`CharPoset.closure_masks`): below[c], the elements
 dividing it, and above[c], the elements it divides.  The interval [u, v]
 is above[u] & below[v], and candidate tops are the bits of above[u] of
 rank at least s.  No interval needs a test for holes, by this lemma:
@@ -34,16 +34,22 @@ v are exactly the box interval [u, v].  The counting prune reads level
 sizes as popcounts of per-degree masks, and finds the minimal uncovered
 elements by shifts:
 
-  Shifted minimal set.  Let U be the uncovered set and up(U) its up-closure
-  in the sub-box, the cells divisible by an element of U.  An element u of
-  U is minimal in U iff no other element of U divides it, iff u is not a
-  one-step multiple u' * x_j of a cell u' of up(U) (if v | u with v != u,
-  some u' = u / x_j is still a multiple of v).  One shift per axis gives
-  those one-step multiples; up(U) takes ceil(log2 dim_j) doubling shifts
-  per axis, each pass doubling the reach along that axis.  Only elements
-  of rank < s can force anything, and every divisor of such an element
-  again has rank < s (the rank counts coordinates at the ceiling, which a
-  divisor can only lose), so the closure starts from those elements alone.
+  Shifted minimal set.  Let U be the uncovered set and up(U) the elements
+  divisible by an element of U.  An element u of U is minimal in U iff no
+  other element of U divides it, iff u is not a one-step multiple u' * x_j
+  of an element u' of up(U): if v | u with v != u, pick j with v_j < u_j;
+  u' = u / x_j lies between v and u, so it is an element, and v divides
+  it.  One shift per axis gives those one-step multiples; up(U) takes
+  ceil(log2 dim_j) doubling shifts per axis, each pass doubling the reach
+  along that axis.  A pass keeps only the shifts that land on elements,
+  which loses nothing: for w in up(U) and a divisor v of it in U, the
+  passes of axis j raise coordinate j from v_j to w_j through the partial
+  sums of the binary digits of w_j - v_j, and every cell on that way lies
+  between v and w, so it is an element.  No mask is therefore wider than
+  the highest element code.  Only elements of rank < s can force
+  anything, and every divisor of such an element again has rank < s (the
+  rank counts coordinates at the ceiling, which a divisor can only lose),
+  so the closure starts from those elements alone.
 
   Memo before prune.  The search consults its failed-state memo before
   the prune.  A state enters the memo only after it passed the prune at
@@ -164,25 +170,25 @@ _FAILED_MEMO_BYTES = 4 << 20
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls.
 
-    Masks are over sub-box cell codes (module docstring).  below[c] and
-    above[c] are the closure masks of cell c: the poset elements dividing
-    it and those it divides.  The poset is convex, so above[u] & below[v]
-    is the whole interval [u, v] for any u | v.  Level and rank masks let
-    the counting prune count by popcount and the candidates filter by rank;
-    deg and rho are indexed by cell code.  `steps` holds one (stride,
-    keep) pair per axis of side > 1, `keep` the cells below its ceiling,
-    and `passes` the (shift, keep) pairs of the doubling passes of the
-    up-closure.
+    Masks are over sub-box cell codes (module docstring), and the tables
+    per element are dicts keyed by cell code, so nothing is stored for a
+    cell that is not an element.  below[c] and above[c] are the closure
+    masks of element c: the elements dividing it and those it divides.
+    The poset is convex, so above[u] & below[v] is the whole interval
+    [u, v] for any u | v.  Level and rank masks let the counting prune
+    count by popcount and the candidates filter by rank.  `passes` holds
+    the (shift, keep) pairs of the doubling passes of the up-closure,
+    `keep` the cells that the shift moves to an element without carrying
+    past the ceiling of its axis, and `steps` the single-step pass of each
+    axis, which `minimal` applies once more after the closure.
     """
 
     def __init__(self, poset: CharPoset):
         self.poset = poset
         self.codes = poset.codes
         self.m = len(self.codes)
-        cells = math.prod(poset.dims)
-        self.full_mask = sum(1 << c for c in self.codes)
-        self.deg = [0] * cells
-        self.rho = [0] * cells
+        self.deg: dict[int, int] = {}
+        self.rho: dict[int, int] = {}
         self.up_closed = poset.is_up_closed()
         self.below, self.above = poset.closure_masks()
         # level[d]: elements of degree d; rank_below[s]: elements of rank < s
@@ -195,24 +201,30 @@ class _Searcher:
             by_rank[self.rho[c]] |= 1 << c
         self.rank_below = list(itertools.accumulate(by_rank, operator.or_,
                                                     initial=0))
+        self.full_mask = self.rank_below[-1]
         # covers[c]: the elements u * x_j, the multiples of u one degree up
-        self.covers = [0] * cells
-        for c in self.codes:
-            self.covers[c] = self.above[c] & self.level[self.deg[c] + 1]
-        everything = (1 << cells) - 1
+        self.covers = {c: self.above[c] & self.level[self.deg[c] + 1]
+                       for c in self.codes}
+        width = self.full_mask.bit_length()
         self.steps: list[tuple[int, int]] = []
         self.passes: list[tuple[int, int]] = []
         for stride, dim in zip(poset.strides, poset.dims):
             # one bit per block of stride * dim cells that share the digits
             # of the axes before this one
-            repeat = everything // ((1 << stride * dim) - 1)
+            repeat, span = 1, stride * dim
+            while span < width:
+                repeat |= repeat << span
+                span *= 2
             k = 1
             while k < dim:
-                # the cells whose digit on this axis is below dim - k
-                keep = ((1 << stride * (dim - k)) - 1) * repeat
-                self.passes.append((stride * k, keep))
+                # the cells whose digit on this axis is below dim - k and
+                # that the shift by k steps takes to an element
+                shift = stride * k
+                keep = (((1 << stride * (dim - k)) - 1) * repeat
+                        & self.full_mask >> shift)
+                self.passes.append((shift, keep))
                 if k == 1:
-                    self.steps.append((stride, keep))
+                    self.steps.append((shift, keep))
                 k *= 2
         self._candidates_cache: dict[tuple[int, int], list[int]] = {}
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))

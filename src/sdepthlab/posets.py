@@ -13,13 +13,15 @@ plain enumeration (`alpha_enumerate`).
 
 Every element of I is a multiple of lo, the componentwise minimum of the
 generators of I, and so is every monomial between two elements.  The poset
-build and the closure masks of the search therefore walk only the sub-box
-[lo, g], by dynamic programming over its mixed-radix cell codes: a cell is
-in an ideal iff it is a generator or a cell one step below it is in the
-ideal, and a cell's closure mask is its own bit ORed with those of the
-cells one step below (or above) it.  The search indexes its bitmasks by
-the same cell codes, so multiplying by x_j is a left shift by the stride
-of axis j.
+build therefore walks only the sub-box [lo, g], by dynamic programming over
+its mixed-radix cell codes: a cell is in an ideal iff it is a generator or
+a cell one step below it is in the ideal.  The poset is convex (a monomial
+between two elements is an element, proved in `partitions`), so an element
+v dividing an element u != v divides an element u / x_j, and an element's
+closure mask is its own bit ORed with those of the elements one step below
+(or above) it: that DP walks the element cells alone.  The search indexes
+its bitmasks by the same cell codes, so multiplying by x_j is a left shift
+by the stride of axis j.
 """
 
 from __future__ import annotations
@@ -92,22 +94,17 @@ def _weights(dims) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _spread(cells, dims, upward: bool) -> None:
+def _spread(cells: bytearray, dims) -> None:
     """OR each cell of a box, indexed by mixed-radix code, into every cell
-    above it (upward) or below it (downward) in the componentwise order, in
-    place; `cells` is a list of masks or a bytearray of flags.  One prefix
-    pass per axis suffices: a cell above another is reached by raising one
+    above it in the componentwise order, in place.  One prefix pass per
+    axis suffices: a cell above another is reached by raising one
     coordinate at a time."""
     size = len(cells)
     for stride, dim in zip(_weights(dims), dims):
         block = stride * dim
         for base in range(0, size, block):
-            if upward:
-                for c in range(base + stride, base + block):
-                    cells[c] |= cells[c - stride]
-            else:
-                for c in range(base + block - stride - 1, base - 1, -1):
-                    cells[c] |= cells[c + stride]
+            for c in range(base + stride, base + block):
+                cells[c] |= cells[c - stride]
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ class CharPoset:
                 seed = tuple(map(max, gen, self._lo))
                 if all(a <= b for a, b in zip(seed, g)):
                     cells[self._sub_code(seed)] |= flag
-        _spread(cells, self.dims, upward=True)
+        _spread(cells, self.dims)
         # product order over the sub-box is lex == mixed-radix code order
         found = [(c, u) for c, (u, flags) in enumerate(zip(
             itertools.product(*(range(a, b + 1) for a, b in zip(self._lo, g))),
@@ -174,18 +171,28 @@ class CharPoset:
         """Mixed-radix code of u in the sub-box [lo, g], ordered as `code`."""
         return sum((e - a) * w for e, a, w in zip(u, self._lo, self.strides))
 
-    def closure_masks(self) -> tuple[list[int], list[int]]:
-        """Per sub-box cell c, bitmasks over the cell codes of elements:
-        below[c] holds the elements dividing cell c and above[c] the
-        elements cell c divides, c itself included when it is an element.
-        Each element's bit is spread over the sub-box cells above it (for
-        below) and below it (for above)."""
-        below = [0] * math.prod(self.dims)
-        for c in self.codes:
-            below[c] = 1 << c
-        above = below[:]
-        _spread(below, self.dims, upward=True)
-        _spread(above, self.dims, upward=False)
+    def closure_masks(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Per element, keyed by its cell code c, bitmasks over the cell
+        codes of elements: below[c] holds the elements dividing it and
+        above[c] those it divides, c itself included in both.  The DP walks
+        the element cells only (module docstring), in code order for below
+        and in reverse for above, so a mask is as wide as the highest
+        element code and no other cell holds one."""
+        below = {c: 1 << c for c in self.codes}
+        above = dict(below)
+        pairs = tuple(zip(self.codes, self.elements))
+        for c, u in pairs:
+            mask = below[c]
+            for e, a, stride in zip(u, self._lo, self.strides):
+                if e > a:
+                    mask |= below.get(c - stride, 0)
+            below[c] = mask
+        for c, u in reversed(pairs):
+            mask = above[c]
+            for e, b, stride in zip(u, self.g, self.strides):
+                if e < b:
+                    mask |= above.get(c + stride, 0)
+            above[c] = mask
         return below, above
 
     def position(self, u: Monomial) -> int:
