@@ -22,6 +22,7 @@ from .formats import (
     IdealParseError,
     ideal_str,
     ideal_to_structured,
+    is_structured,
     monomial_str,
     parse_ideal,
     parse_ideal_structured,
@@ -170,21 +171,27 @@ def _load_ideals(
     Text inputs infer their arity from the largest variable index; the
     shared arity is the maximum over all inputs, --arity and the --g
     length.  Structured inputs carry an explicit n and must match it.
+    Each input is parsed once: a text input inferred below the shared
+    arity is padded with zero exponents, which is what parsing it at that
+    arity gives.
     """
-    text_i = Path(args.input).read_text(encoding="utf-8")
-    text_j = None
+    texts = [Path(args.input).read_text(encoding="utf-8")]
     if args.input_j is not None:
-        text_j = Path(args.input_j).read_text(encoding="utf-8")
-    first = parse_ideal(text_i)
-    second = parse_ideal(text_j) if text_j is not None else None
-    n = max([first.arity] + ([second.arity] if second is not None else [])
+        texts.append(Path(args.input_j).read_text(encoding="utf-8"))
+    parsed = [parse_ideal(text) for text in texts]
+    n = max([ideal.arity for ideal in parsed]
             + ([len(args.g)] if args.g else [])
             + ([args.arity] if args.arity else []))
-    ideal_i = parse_ideal(text_i, arity=n)
-    ideal_j = parse_ideal(text_j, arity=n) if text_j is not None else None
-    if ideal_i.arity != n or (ideal_j is not None and ideal_j.arity != n):
-        raise IdealParseError(f"inputs disagree on the ambient arity {n}", 1)
-    return ideal_i, ideal_j
+    ideals = []
+    for text, ideal in zip(texts, parsed):
+        if ideal.arity < n:
+            if is_structured(text):
+                raise IdealParseError(
+                    f"inputs disagree on the ambient arity {n}", 1)
+            pad = (0,) * (n - ideal.arity)
+            ideal = MonomialIdeal(n, tuple(g + pad for g in ideal.generators))
+        ideals.append(ideal)
+    return ideals[0], ideals[1] if len(ideals) > 1 else None
 
 
 def _ideal_hash(numerator: MonomialIdeal, denominator: MonomialIdeal,

@@ -115,11 +115,15 @@ def parse_ideal_structured(data, cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIde
     return minimalize(gens, n)
 
 
+def is_structured(text: str) -> bool:
+    """Whether `parse_ideal` reads the text as structured JSON."""
+    return text.lstrip().startswith("{")
+
+
 def parse_ideal(text: str, arity: int | None = None,
                 cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIdeal:
     """Dispatch on content: structured if it looks like JSON, text otherwise."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if is_structured(text):
         return parse_ideal_structured(text, cap=cap)
     return parse_ideal_text(text, arity=arity, cap=cap)
 

@@ -5,9 +5,12 @@ the poset into divisibility intervals [u_i, v_i] so that every top v_i meets
 the box ceiling in at least s coordinates, then maximize s.  The search here
 is an exact-cover style backtracker over bitmask states:
 
-* the branch bottom is always the lexicographically least uncovered element
-  (lex order extends divisibility, so that element can only be covered by an
-  interval starting at itself);
+* the branch bottom is the tightest minimal uncovered element of rank
+  < s: the one with the fewest uncovered covers to spare over what its
+  interval needs, then of least degree, then lex-least ("Tightest bottom"
+  below); with no uncovered element of rank < s it is the lex-least
+  uncovered element (lex order extends divisibility, so that element can
+  only be covered by an interval starting at itself);
 * candidate tops are tried in decreasing degree, then lex order;
 * a sound counting prune cuts branches where some degree level cannot supply
   the forced degree-(d+1) elements of the intervals that still must start at
@@ -50,6 +53,20 @@ elements by shifts:
   anything, and every divisor of such an element again has rank < s (the
   rank counts coordinates at the ceiling, which a divisor can only lose),
   so the closure starts from those elements alone.
+
+  Tightest bottom.  The counting prune walks the minimal elements of
+  U & rank<s and counts, for each such c, its uncovered covers one degree
+  up; the interval that covers c must take s - rho(c) of them, and the
+  difference is the slack of c.  The search branches on the element of
+  least slack, then least degree, then least code, when the prune passes.
+  This is exhaustive: an element c minimal in U & rank<s is minimal in U,
+  because every divisor of c has rank < s (a divisor can only lose
+  ceiling coordinates), so an uncovered proper divisor of c would lie in
+  U & rank<s below c.  So no interval of a completion holds c above its
+  bottom, every interval covering c starts at c, and trying every top of
+  c covers all completions.  The failed memo stays valid, because
+  whether a state can be completed does not depend on the path that
+  reached it.
 
   Memo before prune.  The search consults its failed-state memo before
   the prune.  A state enters the memo only after it passed the prune at
@@ -258,41 +275,55 @@ class _Searcher:
             above_up |= (up & keep) << shift
         return mask & ~above_up
 
-    def budget_feasible(self, uncovered: int, s: int) -> bool:
-        """Counting prune.  Every element minimal in the uncovered set must
-        start an interval, which forces at least s - rho(bottom) uncovered
-        covers of it one degree up; the forced elements of distinct bottoms
-        are distinct.  Returns False only when no completion can exist.
+    def branch_bottom(self, uncovered: int, s: int) -> int | None:
+        """Counting prune and branch rule in one walk: None when no
+        completion can exist, else the cell code of the bottom to branch
+        on (module docstring, "Tightest bottom").
 
+        Every element minimal in the uncovered set must start an interval,
+        which forces at least s - rho(bottom) uncovered covers of it one
+        degree up; the forced elements of distinct bottoms are distinct.
         Only minimal elements of rank < s force anything.  They are found by
         shifts (module docstring, "Shifted minimal set"): the up-closure of
         the uncovered elements of rank < s, one step up, masks out every
         element with an uncovered proper divisor.  Only the minimal ones
         are walked, and level sizes are popcounts of the level masks.  The
-        search consults its failed-state memo first ("Memo before prune"),
-        which changes no outcome."""
-        if s <= 0:
-            return True
+        walk keeps the element of least slack, uncovered covers minus
+        need, then of least degree; it visits codes in ascending order, so
+        a tie keeps the lex-least.  With no uncovered element of rank < s
+        the bottom is the lex-least uncovered element.  The search consults
+        its failed-state memo first ("Memo before prune"), which changes no
+        outcome."""
         walk = self.minimal(uncovered & self.rank_below[s])
+        if not walk:
+            return (uncovered & -uncovered).bit_length() - 1
         needs: dict[int, int] = {}
+        best, best_slack, best_deg = -1, 0, 0
         while walk:
             low = walk & -walk
             c = low.bit_length() - 1
             walk ^= low
             need = s - self.rho[c]
-            if (self.covers[c] & uncovered).bit_count() < need:
-                return False
+            slack = (self.covers[c] & uncovered).bit_count() - need
+            if slack < 0:
+                return None
             d = self.deg[c]
             needs[d] = needs.get(d, 0) + need
+            if best < 0 or slack < best_slack or (
+                    slack == best_slack and d < best_deg):
+                best, best_slack, best_deg = c, slack, d
         for d, req in needs.items():
             if req > (self.level[d + 1] & uncovered).bit_count():
-                return False
-        return True
+                return None
+        return best
 
     def decide(self, s: int, timeout_s: float, use_prune: bool,
                stats: SearchStats) -> list[tuple[int, int]] | None:
         """Exhaustive search for a full cover with all tops of rank >= s.
         Returns (bottom, top) cell-code pairs or None if none exists.
+        Each node branches on the bottom that `branch_bottom` returns with
+        the prune's verdict; with use_prune=False it consults no prune and
+        branches on the lex-least uncovered element.
 
         Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
         once it is full it takes no more states.  The memo only spares
@@ -320,10 +351,13 @@ class _Searcher:
                     f"time ran out with target {s} open", stats)
             if uncovered in failed:
                 return None
-            if use_prune and not self.budget_feasible(uncovered, s):
-                stats.prunes += 1
-                return None
-            w = (uncovered & -uncovered).bit_length() - 1
+            if use_prune:
+                w = self.branch_bottom(uncovered, s)
+                if w is None:
+                    stats.prunes += 1
+                    return None
+            else:
+                w = (uncovered & -uncovered).bit_length() - 1
             # [w, v] fits in the uncovered set iff it misses the covered
             # multiples of w
             blocked = above[w] & ~uncovered
@@ -481,7 +515,7 @@ def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
     mask = 0
     for u in uncovered:
         mask |= 1 << poset.codes[poset.position(u)]
-    return searcher.budget_feasible(mask, s)
+    return searcher.branch_bottom(mask, s) is not None
 
 
 def sdepth_poset(poset: CharPoset, *, timeout_s: float = 60.0,
@@ -600,7 +634,9 @@ def verify_stanley_decomposition(numerator: MonomialIdeal,
     lie in exactly one space, and no other monomial in any.  There m * K[Z]
     is the box interval [m, t], t_j = cap on Z and m_j elsewhere (empty if
     some m_j > cap), so `verify_partition` decides the check on the
-    characteristic poset with corner (cap, ..., cap)."""
+    characteristic poset with corner (cap, ..., cap).  A space naming a
+    variable index outside 1..n is rejected: the interval would ignore it,
+    while `StanleyDecomposition.sdepth` would count it."""
     n = numerator.arity
     g = default_box(numerator, denominator)
     if cap < sum(g):
@@ -609,6 +645,10 @@ def verify_stanley_decomposition(numerator: MonomialIdeal,
     for m, z in decomposition.spaces:
         if len(m) != n:
             return CheckResult(False, f"space monomial {m} has wrong arity")
+        stray = sorted(j for j in z if not 1 <= j <= n)
+        if stray:
+            return CheckResult(
+                False, f"space {m} names variables {stray} outside 1..{n}")
         if all(e <= cap for e in m):
             intervals.append(Interval(m, tuple(cap if j + 1 in z else e
                                                for j, e in enumerate(m))))

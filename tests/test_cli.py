@@ -89,6 +89,24 @@ def test_quotient_residue_field(tmp_path, capsys):
     assert "sdepth = 0" in capsys.readouterr().out
 
 
+def test_inputs_share_the_largest_arity(tmp_path, capsys):
+    """A text input inferred below the shared arity is embedded with zero
+    exponents; a structured input of another arity is a parse error."""
+    x1 = _write(tmp_path / "x1.txt", "x1\n")
+    m3 = _write(tmp_path / "m3.json", '{"n": 3, "generators": '
+                '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+    x1_m3 = _write(tmp_path / "x1m3.txt", "x1^2\nx1*x2\nx1*x3\n")
+    out = tmp_path / "cert.json"
+    assert main(["quotient", "--input", x1, "--input-j", x1_m3,
+                 "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["numerator"] == {"n": 3, "generators": [[1, 0, 0]]}
+    assert document["s"] == 0
+    assert main(["quotient", "--input", x1, "--input-j", m3,
+                 "--arity", "4"]) == 2
+    assert "disagree on the ambient arity 4" in capsys.readouterr().err
+
+
 def test_quotient_structured_format(tmp_path, capsys):
     unit = _write(tmp_path / "unit.txt", "1\n")
     ideal = _write(tmp_path / "i.txt", "x1*x2\n")

@@ -1,8 +1,8 @@
 """Oracle tests for the bitmask kernels of the poset build and the search:
 membership DP, closure masks, the convexity that makes interval masks need
 no hole test, candidate order, the upper bound, the up-closure test, the
-minimal elements found by shifts, the popcount counting prune and the
-bounded failed-state memo.
+minimal elements found by shifts, the popcount counting prune, the
+branch bottom it picks and the bounded failed-state memo.
 
 The search masks are indexed by sub-box cell code; the oracles here work on
 element indices, and `_to_cells` translates their masks."""
@@ -208,10 +208,56 @@ def test_budget_feasible_matches_per_element_oracle(kernel_posets):
         for _ in range(3):
             uncovered = rng.getrandbits(m) | (1 << rng.randrange(m))
             for s in range(1, p.arity + 1):
-                got = searcher.budget_feasible(_to_cells(p, uncovered), s)
+                got = searcher.branch_bottom(
+                    _to_cells(p, uncovered), s) is not None
                 assert got == _budget_feasible_oracle(p, uncovered, s)
                 pruned += not got
     assert pruned > 100  # the comparison covers both outcomes
+
+
+def test_branch_bottom_is_the_tightest_minimal_element(oracle_posets):
+    """The bottom the counting prune returns, against plain divisibility: it
+    is minimal in the uncovered set and has the least (slack, degree,
+    code) among the minimal elements of rank < s, slack being the uncovered
+    covers one degree up minus s - rho; with no uncovered element of rank
+    < s it is the lex-least uncovered element.  The verdict is the
+    per-element oracle's."""
+    rng = random.Random(53)
+    outcomes = {"pruned": 0, "not lex-least": 0, "no rank below s": 0}
+    for p in oracle_posets:
+        m = len(p)
+        if m == 0:
+            continue
+        searcher = partitions._get_searcher(p)
+        elems = p.elements
+        for _ in range(3):
+            uncovered = rng.getrandbits(m) | (1 << rng.randrange(m))
+            live = [i for i in range(m) if uncovered >> i & 1]
+            minimal = [i for i in live
+                       if not any(j != i and divides_raw(elems[j], elems[i])
+                                  for j in live)]
+            for s in range(1, p.arity + 1):
+                got = searcher.branch_bottom(_to_cells(p, uncovered), s)
+                feasible = _budget_feasible_oracle(p, uncovered, s)
+                assert (got is not None) == feasible
+                if got is None:
+                    outcomes["pruned"] += 1
+                    continue
+                bottom = p.codes.index(got)
+                assert bottom in minimal
+                keys = {i: ((sum(1 for j in live
+                                 if sum(elems[j]) == sum(elems[i]) + 1
+                                 and divides_raw(elems[i], elems[j]))
+                             - (s - p.rho(elems[i]))),
+                            sum(elems[i]), i)
+                        for i in minimal if p.rho(elems[i]) < s}
+                if keys:
+                    assert keys[bottom] == min(keys.values())
+                else:
+                    assert bottom == live[0]
+                    outcomes["no rank below s"] += 1
+                outcomes["not lex-least"] += bottom != live[0]
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_minimal_by_shifts_matches_divisibility(oracle_posets,
@@ -280,14 +326,16 @@ def _digest(cert) -> str:
 
 
 @pytest.mark.parametrize("solve, s, nodes, prunes, digest", [
-    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 54, 31, "da83f919a3b863cc"),
-    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 146, 112,
-     "62bc2e990d604e60"),
-    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 391, 319,
-     "aa6778322cfb5477"),
-    (lambda: sdepth_quotient(unit_ideal(5), MIDHARD), 2, 4280, 28,
-     "a766e730ecb2df04"),
-], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I"])
+    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 54, 31, "c7bcb6da4c05cafa"),
+    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 98, 46,
+     "69ab87b6b37aabf8"),
+    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 113, 50,
+     "04d63805822c5470"),
+    (lambda: sdepth_quotient(unit_ideal(5), MIDHARD), 2, 1747, 0,
+     "8aec67559402c5de"),
+    (lambda: sdepth_ideal(maximal_power(11, 1)), 6, 1445, 767,
+     "f0b73aaa302aea45"),
+], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I", "m-n11"])
 def test_search_is_deterministic(solve, s, nodes, prunes, digest):
     """Node and prune counts do not depend on the machine: any change of the
     search order, the prunes or the memo shows here, as does any other

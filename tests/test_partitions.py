@@ -335,6 +335,21 @@ def test_verify_stanley_decomposition_roundtrip():
     assert not verify_stanley_decomposition(ideal, zero_ideal(2), doubled, 4)
 
 
+def test_verify_stanley_decomposition_rejects_stray_variables():
+    """On S/(x1^2) the spaces 1 * K[x5] and x1 * K[x0, x7] cover the poset
+    {1, x1} once each if the stray indices are ignored, and would count
+    as sdepth 1 where the true value is 0."""
+    ideal = minimalize([(2,)], 1)
+    stray = StanleyDecomposition(1, (((0,), frozenset({5})),
+                                     ((1,), frozenset({0, 7}))))
+    check = verify_stanley_decomposition(unit_ideal(1), ideal, stray, 2)
+    assert not check and "outside 1..1" in check.reason
+    plain = StanleyDecomposition(1, (((0,), frozenset()),
+                                     ((1,), frozenset())))
+    assert verify_stanley_decomposition(unit_ideal(1), ideal, plain, 2)
+    assert sdepth_quotient(unit_ideal(1), ideal).s == plain.sdepth == 0
+
+
 def test_verify_stanley_decomposition_cap_validation():
     ideal = maximal_power(2, 2)
     cert = sdepth_ideal(ideal)
