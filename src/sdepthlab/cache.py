@@ -28,15 +28,17 @@ class ResultCache:
         return os.path.join(self.directory, f"{key}.json")
 
     def load(self, key: str):
-        """Return the cached payload, or None.  Records whose stored key
-        disagrees with the requested one are treated as misses."""
+        """Return the cached payload, or None.  Records that are not JSON
+        objects, or whose stored key disagrees with the requested one, are
+        treated as misses."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 record = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
-        if record.get("key") != key or "payload" not in record:
+        if (not isinstance(record, dict) or record.get("key") != key
+                or "payload" not in record):
             return None
         return record["payload"]
 

@@ -22,6 +22,7 @@ from .formats import (
     IdealParseError,
     ideal_str,
     ideal_to_structured,
+    is_json_int,
     is_structured,
     monomial_str,
     parse_ideal,
@@ -431,6 +432,16 @@ def cmd_remark17(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple, or TypeError if one is not a JSON integer:
+    `int()` would truncate 2.9 and accept "2"."""
+    values = tuple(values)
+    for value in values:
+        if not is_json_int(value):
+            raise TypeError(f"{what} holds {value!r}, not an integer")
+    return values
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         document = json.loads(Path(args.certificate).read_text(
@@ -440,10 +451,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         numerator = parse_ideal_structured(document["numerator"])
         denominator = parse_ideal_structured(document["denominator"])
-        g = tuple(int(e) for e in document["g"])
-        s = int(document["s"])
+        g = _json_ints(document["g"], "g")
+        (s,) = _json_ints([document["s"]], "s")
         intervals = IntervalPartition(tuple(
-            Interval(tuple(int(e) for e in bottom), tuple(int(e) for e in top))
+            Interval(_json_ints(bottom, "an interval bottom"),
+                     _json_ints(top, "an interval top"))
             for bottom, top in document["intervals"]))
         stored_hash = document["ideal_hash"]
     except (KeyError, TypeError) as exc:

@@ -87,6 +87,13 @@ def parse_ideal_text(text: str, arity: int | None = None,
     return minimalize(gens, n)
 
 
+def is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer.  JSON has no separate
+    integer type, and Python decodes true and false as bools, which are
+    ints, so floats, strings and bools all fail."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_ideal_structured(data, cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIdeal:
     """Parse the structured format from a JSON string or decoded object."""
     if isinstance(data, (str, bytes)):
@@ -97,7 +104,7 @@ def parse_ideal_structured(data, cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIde
     if not isinstance(data, dict) or "n" not in data or "generators" not in data:
         raise IdealParseError("expected an object with fields 'n' and 'generators'", 1)
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not is_json_int(n) or n < 1:
         raise IdealParseError(f"'n' must be a positive integer, got {n!r}", 1)
     gens = []
     for i, row in enumerate(data["generators"]):
@@ -105,7 +112,7 @@ def parse_ideal_structured(data, cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIde
             raise IdealParseError(
                 f"generator {i} must be an integer array of length {n}", 1)
         for e in row:
-            if not isinstance(e, int) or e < 0:
+            if not is_json_int(e) or e < 0:
                 raise IdealParseError(
                     f"generator {i} has invalid exponent {e!r}", 1)
             if e > cap:

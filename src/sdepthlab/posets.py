@@ -135,7 +135,6 @@ class CharPoset:
         self.numerator = numerator
         self.denominator = denominator
         self.g = g
-        self._weights = _weights([e + 1 for e in g])
         gens = numerator.generators
         self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
         self.dims = tuple(b - a + 1 for a, b in zip(self._lo, g))
@@ -163,12 +162,9 @@ class CharPoset:
     def __contains__(self, u) -> bool:
         return tuple(u) in self._position
 
-    def code(self, u: Monomial) -> int:
-        """Mixed-radix code of a box monomial, in [0, prod(g_j + 1))."""
-        return sum(e * w for e, w in zip(u, self._weights))
-
     def _sub_code(self, u: Monomial) -> int:
-        """Mixed-radix code of u in the sub-box [lo, g], ordered as `code`."""
+        """Mixed-radix code of u in the sub-box [lo, g], x1 most
+        significant, so code order is lex order."""
         return sum((e - a) * w for e, a, w in zip(u, self._lo, self.strides))
 
     def closure_masks(self) -> tuple[dict[int, int], dict[int, int]]:

@@ -145,6 +145,30 @@ def test_certificate_roundtrip_and_tampering(tmp_path, m5_file, capsys):
     assert main(["verify", str(tampered)]) == 2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(s=d["s"] + 0.9),
+    lambda d: d.update(s=str(d["s"])),
+    lambda d: d.update(s=True),
+    lambda d: d["g"].__setitem__(0, d["g"][0] + 0.99),
+    lambda d: d["g"].__setitem__(0, str(d["g"][0])),
+    lambda d: d["intervals"][0][0].__setitem__(
+        0, d["intervals"][0][0][0] + 0.5),
+    lambda d: d["intervals"][0][1].__setitem__(0, True),
+], ids=["s-float", "s-string", "s-bool", "g-float", "g-string",
+        "bottom-float", "top-bool"])
+def test_verify_rejects_non_integer_values(tmp_path, m5_file, capsys, edit):
+    """int() would truncate 3.9 to 3 and read "1" as 1, so each of these
+    certificates used to pass."""
+    cert_path = tmp_path / "cert.json"
+    assert main(["sdepth", "--input", m5_file, "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    document = json.loads(cert_path.read_text())
+    edit(document)
+    cert_path.write_text(json.dumps(document))
+    assert main(["verify", str(cert_path)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
 def test_verify_rejects_zero_module_certificate(tmp_path, capsys):
     """Numerator equal to denominator: the poset is empty, so the empty
     interval list passes the partition check, but there is nothing to
@@ -311,11 +335,13 @@ def test_cache_ignores_corrupt_entries(tmp_path, m5_file):
     assert main(["sdepth", "--input", m5_file, "--cache", str(cache),
                  "--out", str(out)]) == 0
     entry = next(cache.glob("*.json"))
-    entry.write_text('{"key": "wrong", "payload": {}}')
-    fresh = tmp_path / "b.json"
-    assert main(["sdepth", "--input", m5_file, "--cache", str(cache),
-                 "--out", str(fresh)]) == 0
-    assert out.read_bytes() == fresh.read_bytes()
+    # a stale key, and records that are valid JSON but not objects
+    for record in ('{"key": "wrong", "payload": {}}', "[]", "3", "null"):
+        entry.write_text(record)
+        fresh = tmp_path / "b.json"
+        assert main(["sdepth", "--input", m5_file, "--cache", str(cache),
+                     "--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_principal_ideal_far_out_is_fast(tmp_path, capsys):

@@ -72,6 +72,13 @@ def test_parse_structured_rejects():
         parse_ideal_structured('{"n": 1,')
     with pytest.raises(IdealParseError):
         parse_ideal_structured({"n": 2, "generators": [[1, "a"]]})
+    # JSON true and false decode to bools, which are Python ints
+    for data in ({"n": True, "generators": [[True]]},
+                 {"n": 1, "generators": [[False]]},
+                 {"n": 2.0, "generators": [[1, 0]]},
+                 '{"n": 2, "generators": [[1.5, 0]]}'):
+        with pytest.raises(IdealParseError):
+            parse_ideal_structured(data)
 
 
 def test_parse_dispatch():

@@ -326,14 +326,14 @@ def _digest(cert) -> str:
 
 
 @pytest.mark.parametrize("solve, s, nodes, prunes, digest", [
-    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 54, 31, "c7bcb6da4c05cafa"),
-    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 98, 46,
+    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 57, 34, "c7bcb6da4c05cafa"),
+    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 100, 48,
      "69ab87b6b37aabf8"),
-    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 113, 50,
+    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 116, 53,
      "04d63805822c5470"),
     (lambda: sdepth_quotient(unit_ideal(5), MIDHARD), 2, 1747, 0,
      "8aec67559402c5de"),
-    (lambda: sdepth_ideal(maximal_power(11, 1)), 6, 1445, 767,
+    (lambda: sdepth_ideal(maximal_power(11, 1)), 6, 1449, 771,
      "f0b73aaa302aea45"),
 ], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I", "m-n11"])
 def test_search_is_deterministic(solve, s, nodes, prunes, digest):

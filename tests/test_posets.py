@@ -147,9 +147,15 @@ def test_poset_permutation_equivariance():
 
 def test_code_order_is_lex_and_bijective():
     p = maximal_power_poset(2, 2)
-    codes = [p.code(u) for u in p.elements]
+    codes = list(p.codes)
     assert codes == sorted(codes)
     assert len(set(codes)) == len(p)
+    # the codes are the mixed-radix codes of the elements in the sub-box
+    # [lo, g], so distinct elements get distinct codes inside that box
+    lo = tuple(map(min, zip(*p.elements)))
+    assert all(0 <= c < math.prod(p.dims) for c in codes)
+    assert codes == [sum((e - a) * w for e, a, w in zip(u, lo, p.strides))
+                     for u in p.elements]
     assert list(p.elements) == sorted(p.elements)
     for i, u in enumerate(p.elements):
         assert p.position(u) == i
