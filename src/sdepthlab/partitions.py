@@ -20,22 +20,26 @@ All of it runs on bitmasks indexed by the mixed-radix cell code of each
 element in the sub-box [lo, g] of the poset (`CharPoset.codes`).  Code
 order is lex order, so the lowest set bit is the lex-least element, and
 multiplying by x_j is a left shift by the stride of axis j, masked to the
-cells below the ceiling of that axis.  Each element c has two closure
-masks from the poset (`CharPoset.closure_masks`): below[c], the elements
-dividing it, and above[c], the elements it divides.  The interval [u, v]
-is above[u] & below[v], and candidate tops are the bits of above[u] of
-rank at least s.  No interval needs a test for holes, by this lemma:
+cells below the ceiling of that axis.  No interval needs a table per
+element or a test for holes, by two lemmas:
 
   Convexity.  The characteristic poset of I/J is convex: if u | w | v with
   u and v in the poset, then w is in the poset.  Proof: w lies in the box
   because it divides v; w is in I because u | w and I is an ideal; and w
   is not in J, because otherwise its multiple v would be in J.
 
-So the box interval between any two dividing elements lies in the poset,
-every multiple of a bottom is a valid top, and the elements between u and
-v are exactly the box interval [u, v].  The counting prune reads level
-sizes as popcounts of per-degree masks, and finds the minimal uncovered
-elements by shifts:
+  Shifted shapes.  Let shape(d) be the mask of the box [0, d], the cells
+  whose digits are at most those of the cell code d.  For cells u | v,
+  [u, v] is shape(v - u) << u, as adding u to a cell of [0, v - u] gives
+  digits at most v's and so carries nothing.  shape(0) is cell 0, and
+  shape(d) = S | S << stride_j with S = shape(d - stride_j), for j the
+  least significant axis where d has a nonzero digit: S holds the cells of
+  [0, d] with digit j below d_j, and the shift raises it to at most d_j.
+
+So by convexity every multiple of a bottom is a valid top, and the
+multiples of c are the elements of shape(top - c) << c, top being the code
+of g.  The counting prune reads level sizes as popcounts of per-degree
+masks, and finds the minimal uncovered elements by shifts:
 
   Shifted minimal set.  Let U be the uncovered set and up(U) the elements
   divisible by an element of U.  An element u of U is minimal in U iff no
@@ -185,17 +189,14 @@ _FAILED_MEMO_BYTES = 4 << 20
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls.
 
-    Masks are over sub-box cell codes (module docstring), and the tables
-    per element are dicts keyed by cell code, so nothing is stored for a
-    cell that is not an element.  below[c] and above[c] are the closure
-    masks of element c: the elements dividing it and those it divides.
-    The poset is convex, so above[u] & below[v] is the whole interval
-    [u, v] for any u | v.  Level and rank masks let the counting prune
-    count by popcount and the candidates filter by rank.  `passes` holds
-    the (shift, keep) pairs of the doubling passes of the up-closure,
-    `keep` the cells that the shift moves to an element without carrying
-    past the ceiling of its axis, and `steps` the single-step pass of each
-    axis, which `minimal` applies once more after the closure.
+    Masks are over sub-box cell codes (module docstring).  The set-up keeps
+    no mask per element: shapes are cached by code difference when first
+    used, covers when the counting prune first walks an element.  Level and
+    rank masks let the counting prune count by popcount and the candidates
+    filter by rank.  `passes` holds the (shift, keep) pairs of the doubling
+    passes of the up-closure, `keep` the cells that the shift moves to an
+    element without carrying past the ceiling of its axis, and `steps` the
+    single-step pass of each axis, for `minimal` and `covers`.
     """
 
     def __init__(self, poset: CharPoset):
@@ -205,7 +206,6 @@ class _Searcher:
         self.deg: dict[int, int] = {}
         self.rho: dict[int, int] = {}
         self.up_closed = poset.is_up_closed()
-        self.below, self.above = poset.closure_masks()
         # level[d]: elements of degree d; rank_below[s]: elements of rank < s
         self.level = [0] * (sum(poset.g) + 2)
         by_rank = [0] * (poset.arity + 1)
@@ -217,9 +217,10 @@ class _Searcher:
         self.rank_below = list(itertools.accumulate(by_rank, operator.or_,
                                                     initial=0))
         self.full_mask = self.rank_below[-1]
-        # covers[c]: the elements u * x_j, the multiples of u one degree up
-        self.covers = {c: self.above[c] & self.level[self.deg[c] + 1]
-                       for c in self.codes}
+        self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
+        self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
+        self._shapes = {0: 1}
+        self._covers: dict[int, int] = {}
         width = self.full_mask.bit_length()
         self.steps: list[tuple[int, int]] = []
         self.passes: list[tuple[int, int]] = []
@@ -241,23 +242,46 @@ class _Searcher:
                 if k == 1:
                     self.steps.append((shift, keep))
                 k *= 2
-        self._candidates_cache: dict[tuple[int, int], list[int]] = {}
+        self._candidates_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
 
-    def _candidates(self, c: int, s: int) -> list[int]:
+    def shape(self, d: int) -> int:
+        """The box [0, d] as a mask, one shift per step ("Shifted shapes")."""
+        chain = []
+        while d not in self._shapes:
+            for stride, dim in self._axes:
+                if d // stride % dim:
+                    break
+            chain.append((d, stride))
+            d -= stride
+        mask = self._shapes[d]
+        for d, stride in reversed(chain):
+            mask = self._shapes[d] = mask | mask << stride
+        return mask
+
+    def multiples(self, c: int) -> int:
+        """The elements that the element at c divides, c included."""
+        return self.shape(self.top - c) << c & self.full_mask
+
+    def covers(self, c: int) -> int:
+        """The elements one step above c: one shift of its bit per axis."""
+        return sum((1 << c & keep) << shift for shift, keep in self.steps)
+
+    def _candidates(self, c: int, s: int) -> list[tuple[int, int]]:
         """Tops of the intervals at bottom c with rank >= s, in decreasing
-        degree, then lex order.  By convexity these are all the multiples
-        of the element at c of rank >= s."""
+        degree, then lex order, each with the shape of its interval."""
         key = (c, s)
         cached = self._candidates_cache.get(key)
         if cached is None:
-            cached = []
-            bits = self.above[c] & ~self.rank_below[s]
+            tops = []
+            bits = self.multiples(c) & ~self.rank_below[s]
             while bits:
                 low = bits & -bits
-                cached.append(low.bit_length() - 1)
+                tops.append(low.bit_length() - 1)
                 bits ^= low
-            cached.sort(key=lambda v: -self.deg[v])  # stable: lex within a degree
+            tops.sort(key=self.deg.__getitem__, reverse=True)  # stable: lex
+            get = self._shapes.get  # a shape is never 0: `or` only on a miss
+            cached = [(v, get(v - c) or self.shape(v - c)) for v in tops]
             self._candidates_cache[key] = cached
         return cached
 
@@ -279,19 +303,14 @@ class _Searcher:
         on (module docstring, "Tightest bottom").
 
         Every element minimal in the uncovered set must start an interval,
-        which forces at least s - rho(bottom) uncovered covers of it one
-        degree up; the forced elements of distinct bottoms are distinct.
-        Only minimal elements of rank < s force anything.  They are found by
-        shifts (module docstring, "Shifted minimal set"): the up-closure of
-        the uncovered elements of rank < s, one step up, masks out every
-        element with an uncovered proper divisor.  Only the minimal ones
-        are walked, and level sizes are popcounts of the level masks.  The
-        walk keeps the element of least slack, uncovered covers minus
-        need, then of least degree; it visits codes in ascending order, so
-        a tie keeps the lex-least.  With no uncovered element of rank < s
-        the bottom is the lex-least uncovered element.  The search consults
-        its failed-state memo first ("Memo before prune"), which changes no
-        outcome."""
+        which forces at least s - rho(bottom) of its uncovered `covers`; the
+        forced elements of distinct bottoms are distinct.  Only the minimal
+        elements of rank < s force anything, and only they are walked, as
+        `minimal` finds them; level sizes are popcounts of the level masks.
+        The walk keeps the element of least slack, uncovered covers minus
+        need, then of least degree; it visits codes in ascending order, so a
+        tie keeps the lex-least.  With no uncovered element of rank < s the
+        bottom is the lex-least uncovered element."""
         walk = self.minimal(uncovered & self.rank_below[s])
         if not walk:
             return (uncovered & -uncovered).bit_length() - 1
@@ -302,7 +321,10 @@ class _Searcher:
             c = low.bit_length() - 1
             walk ^= low
             need = s - self.rho[c]
-            slack = (self.covers[c] & uncovered).bit_count() - need
+            covers = self._covers.get(c)
+            if covers is None:
+                covers = self._covers[c] = self.covers(c)
+            slack = (covers & uncovered).bit_count() - need
             if slack < 0:
                 return None
             d = self.deg[c]
@@ -333,7 +355,6 @@ class _Searcher:
         before the prune, which changes no counter (module docstring).
         """
         deadline = time.monotonic() + timeout_s
-        below, above = self.below, self.above
         failed: set[int] = set()
         # bytes per entry: no mask is larger than the full one, plus 64 for
         # its 16-byte set slot in a table at least a quarter full
@@ -352,13 +373,12 @@ class _Searcher:
             if w is None:
                 stats.prunes += 1
                 return None
-            # [w, v] fits in the uncovered set iff it misses the covered
-            # multiples of w
-            blocked = above[w] & ~uncovered
-            for v in self._candidates(w, s):
-                if below[v] & blocked:
+            # [w, v] is shape << w, which fits iff uncovered >> w holds shape
+            free = uncovered >> w
+            for v, shape in self._candidates(w, s):
+                if free & shape != shape:
                     continue
-                rest = rec(uncovered ^ (above[w] & below[v]))
+                rest = rec(uncovered ^ shape << w)
                 if rest is not None:
                     rest.append((w, v))
                     return rest
@@ -401,10 +421,12 @@ class _Searcher:
         highest-ranked of its multiples.  On a nonempty up-closed poset
         the corner g is above every element, so the bound is n."""
         ub = self.poset.arity
-        for c in self.codes:
-            if self.below[c] == 1 << c:
-                while not self.above[c] & ~self.rank_below[ub]:
-                    ub -= 1
+        bits = self.minimal(self.full_mask)
+        while bits:
+            c = (bits & -bits).bit_length() - 1
+            bits ^= 1 << c
+            while not self.multiples(c) & ~self.rank_below[ub]:
+                ub -= 1
         return ub
 
 
@@ -497,14 +519,16 @@ def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
 
     `uncovered` is an iterable of monomials still to be covered; the result
     is False only when no completion with all top ranks >= s can exist.
+    Raises ValueError for a target outside [0, n] or a non-element.
     """
-    if s <= 0:
-        return True
-    searcher = _get_searcher(poset)
+    if not 0 <= s <= poset.arity:
+        raise ValueError(f"target {s} outside [0, {poset.arity}]")
     mask = 0
     for u in uncovered:
+        if u not in poset:
+            raise ValueError(f"{tuple(u)} is not a poset element")
         mask |= 1 << poset.codes[poset.position(u)]
-    return searcher.branch_bottom(mask, s) is not None
+    return s == 0 or _get_searcher(poset).branch_bottom(mask, s) is not None
 
 
 def sdepth_poset(poset: CharPoset, *,

@@ -15,19 +15,15 @@ Every element of I is a multiple of lo, the componentwise minimum of the
 generators of I, and so is every monomial between two elements.  The poset
 build therefore walks only the sub-box [lo, g], by dynamic programming over
 its mixed-radix cell codes: a cell is in an ideal iff it is a generator or
-a cell one step below it is in the ideal.  The poset is convex (a monomial
-between two elements is an element, proved in `partitions`), so an element
-v dividing an element u != v divides an element u / x_j, and an element's
-closure mask is its own bit ORed with those of the elements one step below
-(or above) it: that DP walks the element cells alone.  The search indexes
-its bitmasks by the same cell codes, so multiplying by x_j is a left shift
-by the stride of axis j.
+a cell one step below it is in the ideal.  The search indexes its bitmasks
+by the same codes, where an interval is a shifted box shape (`partitions`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .monomials import (
@@ -167,30 +163,6 @@ class CharPoset:
         significant, so code order is lex order."""
         return sum((e - a) * w for e, a, w in zip(u, self._lo, self.strides))
 
-    def closure_masks(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Per element, keyed by its cell code c, bitmasks over the cell
-        codes of elements: below[c] holds the elements dividing it and
-        above[c] those it divides, c itself included in both.  The DP walks
-        the element cells only (module docstring), in code order for below
-        and in reverse for above, so a mask is as wide as the highest
-        element code and no other cell holds one."""
-        below = {c: 1 << c for c in self.codes}
-        above = dict(below)
-        pairs = tuple(zip(self.codes, self.elements))
-        for c, u in pairs:
-            mask = below[c]
-            for e, a, stride in zip(u, self._lo, self.strides):
-                if e > a:
-                    mask |= below.get(c - stride, 0)
-            below[c] = mask
-        for c, u in reversed(pairs):
-            mask = above[c]
-            for e, b, stride in zip(u, self.g, self.strides):
-                if e < b:
-                    mask |= above.get(c + stride, 0)
-            above[c] = mask
-        return below, above
-
     def position(self, u: Monomial) -> int:
         """Index of u in the code-sorted element list."""
         return self._position[tuple(u)]
@@ -242,7 +214,8 @@ def build_poset(numerator: MonomialIdeal,
 
     The denominator defaults to the zero ideal (poset of the ideal
     itself); g defaults to the componentwise max over all generators.
-    Raises ValueError when a supplied g fails to dominate a generator.
+    Raises ValueError when a supplied g fails to dominate a generator or
+    when the sub-box that `CharPoset` walks is too large to index.
     """
     if denominator is None:
         denominator = zero_ideal(numerator.arity)
@@ -256,6 +229,9 @@ def build_poset(numerator: MonomialIdeal,
         for gen in numerator.generators + denominator.generators:
             if not divides(gen, g):
                 raise ValueError(f"generator {gen} does not divide the box corner {g}")
+    lo = map(min, zip(*numerator.generators))
+    if math.prod(b - a + 1 for a, b in zip(lo, g)) > sys.maxsize:
+        raise ValueError(f"the box {g} has too many cells to index")
     return CharPoset(numerator, denominator, g)
 
 

@@ -309,6 +309,32 @@ def test_g_override(tmp_path, capsys):
     assert main(["sdepth", "--input", path, "--g", "0,0"]) == 2
 
 
+def test_box_too_large_to_index_exits_2(tmp_path, capsys):
+    """A box of 2^63 cells or more is refused with one error line before
+    anything is allocated; it used to end in an OverflowError traceback.
+    Only the walked sub-box counts."""
+    huge = "100000000000"
+    m2 = _write(tmp_path / "m2.txt", "x1^2\nx1*x2\nx2^2\n")
+    cert = tmp_path / "cert.json"
+    assert main(["sdepth", "--input", m2, "--g", "3,3",
+                 "--out", str(cert)]) == 0
+    document = json.loads(cert.read_text())
+    document["g"] = [int(huge)] * 2
+    cert.write_text(json.dumps(document))
+    capsys.readouterr()
+    for argv in (["sdepth", "--input", m2, "--g", f"{huge},{huge}"],
+                 ["verify", str(cert)]):
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "too many cells to index" in lines[0]
+    # the full box has 32768^5 = 2^75 cells, the walked sub-box one
+    far = _write(tmp_path / "far.txt", "*".join(
+        f"x{j}^32767" for j in range(1, 6)) + "\n")
+    assert main(["sdepth", "--input", far]) == 0
+    assert "sdepth = 5" in capsys.readouterr().out
+
+
 def test_determinism_of_documents(tmp_path, m5_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["sdepth", "--input", m5_file, "--out", str(a)]) == 0

@@ -1,8 +1,9 @@
 """Oracle tests for the bitmask kernels of the poset build and the search:
-membership DP, closure masks, the convexity that makes interval masks need
-no hole test, candidate order, the upper bound, the up-closure test, the
-minimal elements found by shifts, the popcount counting prune, the
-branch bottom it picks and the bounded failed-state memo.
+membership DP, multiples and covers, the convexity and shifted box shapes
+that make interval masks need no table and no hole test, candidate order,
+the upper bound, the up-closure test, the minimal elements found by
+shifts, the popcount counting prune, the branch bottom it picks and the
+bounded failed-state memo.
 
 The search masks are indexed by sub-box cell code; the oracles here work on
 element indices, and `_to_cells` translates their masks."""
@@ -94,14 +95,15 @@ def oracle_posets(kernel_posets, small_corpus):
 
 
 def test_closure_interval_and_candidate_kernels(oracle_posets):
-    """Closure masks against plain divisibility; convexity: the whole box
-    interval between two dividing elements lies in the poset, so
-    above[i] & below[j] is that interval; and the candidates against the
-    divisibility-and-rank filter in (-deg, lex) order."""
+    """The multiples of each element against plain divisibility; shifted
+    shapes: for every dividing pair u | v the whole box interval lies in
+    the poset (convexity) and is shape(v - u) << u; the covers against the
+    one-step multiples; and the candidates against the
+    divisibility-and-rank filter in (-deg, lex) order, each with the shape
+    of its interval."""
     convex_pairs = 0
     for p in oracle_posets:
         searcher = partitions._get_searcher(p)
-        below, above = p.closure_masks()
         elems = p.elements
         index = {u: i for i, u in enumerate(elems)}
         rho = [p.rho(u) for u in elems]
@@ -109,19 +111,21 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
         codes = p.codes
         for i, u in enumerate(elems):
             multiples = [j for j in range(len(elems)) if divides[i][j]]
-            assert above[codes[i]] == _to_cells(
+            assert searcher.multiples(codes[i]) == _to_cells(
                 p, sum(1 << j for j in multiples))
-            assert below[codes[i]] == _to_cells(
-                p, sum(1 << j for j in range(len(elems)) if divides[j][i]))
+            assert searcher.covers(codes[i]) == _to_cells(
+                p, sum(1 << j for j in multiples
+                       if sum(elems[j]) == sum(u) + 1))
             order = sorted(multiples, key=lambda j: (-sum(elems[j]), elems[j]))
             for s in range(p.arity + 1):
                 assert searcher._candidates(codes[i], s) == [
-                    codes[j] for j in order if rho[j] >= s]
+                    (codes[j], searcher.shape(codes[j] - codes[i]))
+                    for j in order if rho[j] >= s]
             for j in multiples:
                 cell = box_interval(u, elems[j])
                 assert all(w in index for w in cell)
-                assert above[codes[i]] & below[codes[j]] == _to_cells(
-                    p, sum(1 << index[w] for w in cell))
+                assert searcher.shape(codes[j] - codes[i]) << codes[i] == (
+                    _to_cells(p, sum(1 << index[w] for w in cell)))
                 convex_pairs += 1
     assert convex_pairs > 100_000
 

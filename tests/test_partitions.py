@@ -148,6 +148,20 @@ def test_counting_prune_examples():
             assert counting_prune(poset, a + 1, poset.elements) == (lhs >= rhs)
 
 
+def test_counting_prune_rejects_bad_targets_and_non_elements():
+    """The same ValueError as exists_partition: the target 4 used to raise
+    IndexError, -1 returned True, and a non-element raised KeyError."""
+    p = maximal_power_poset(2, 1)
+    for s in (-1, 3, 4):
+        with pytest.raises(ValueError, match=f"target {s} outside"):
+            counting_prune(p, s, p.elements)
+        with pytest.raises(ValueError, match=f"target {s} outside"):
+            exists_partition(p, s)
+    for s in (0, 1):
+        with pytest.raises(ValueError, match="not a poset element"):
+            counting_prune(p, s, [(1, 0), (0, 0)])
+
+
 def test_monotonicity_of_feasibility():
     for poset in (maximal_power_poset(3, 1), maximal_power_poset(2, 2),
                   build_poset(unit_ideal(2), minimalize([(1, 1)], 2))):
@@ -271,6 +285,23 @@ def test_search_set_up_keeps_nothing_per_non_element_cell():
     assert peak < masks * sys.getsizeof(searcher.full_mask)
 
 
+def test_search_set_up_keeps_no_mask_per_element():
+    """m in 14 variables has 16,383 elements.  The search set-up and the
+    upper bound keep level and rank masks, the shift passes and the shapes
+    on the way to the multiples of the minimal elements, so no mask per
+    element: per-element closure masks peaked at 93.7 MB here, about
+    5.7 KB per element."""
+    poset = maximal_power_poset(14, 1)
+    tracemalloc.start()
+    try:
+        ub = partitions._get_searcher(poset).intrinsic_upper_bound()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ub == 14
+    assert peak < 256 * len(poset)
+
+
 def test_pure_power_recognition_is_linear_in_generators():
     # one-element poset; rebuilding m^10 in 6 variables would take seconds
     start = time.perf_counter()
@@ -283,7 +314,7 @@ def test_root_prune_refutes_every_target_above_the_conjecture():
     n; the counting prune must refute every target in (ceil(n/(k+1)), n]
     at the root, so the scan never searches above the conjectured value.
     Boxes above 5^6 cells are left out: m^4 in 8 variables has 390,460
-    elements, too many closure masks to hold."""
+    elements, and its poset build and search set-up take about 3 s."""
     for n in range(1, 9):
         for k in range(1, 5):
             if (k + 1) ** n > 5 ** 6:
