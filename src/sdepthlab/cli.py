@@ -28,7 +28,7 @@ from .formats import (
     parse_ideal,
     parse_ideal_structured,
 )
-from .monomials import MonomialIdeal, unit_ideal, zero_ideal
+from .monomials import MonomialIdeal, unit_ideal
 from .partitions import (
     Interval,
     IntervalPartition,
@@ -106,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Stanley depth computations for monomial ideals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, needs_input=True, needs_j=False, box=False,
+    def add_common(sp, run, *, needs_input=True, needs_j=False, box=False,
                    budget=False, cache=True):
-        # _load_ideals reads both, also where the flag does not exist
-        sp.set_defaults(input_j=None, g=None)
+        # _load_ideals reads input_j and g, also where the flag does not exist
+        sp.set_defaults(run=run, input_j=None, g=None)
         if needs_input:
             sp.add_argument("--input", required=True,
                             help="ideal file (text or structured JSON)")
@@ -131,43 +131,45 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="stdout format")
 
     add_common(sub.add_parser("sdepth", help="Stanley depth of an ideal"),
-               box=True, budget=True)
+               cmd_certificate, box=True, budget=True)
     add_common(sub.add_parser("quotient",
                               help="Stanley depth of I/J (use a '1' file for S/J)"),
-               needs_j=True, box=True, budget=True)
-    add_common(sub.add_parser("sat", help="saturation report of an ideal"))
+               cmd_certificate, needs_j=True, box=True, budget=True)
+    add_common(sub.add_parser("sat", help="saturation report of an ideal"),
+               cmd_sat)
     add_common(sub.add_parser("janet", help="Janet decomposition of S/I"),
-               cache=False)
+               cmd_janet, cache=False)
 
     alpha = sub.add_parser("alpha", help="level counts of the m^k poset")
     alpha.add_argument("n", type=int)
     alpha.add_argument("k", type=int)
-    add_common(alpha, needs_input=False, cache=False)
+    add_common(alpha, cmd_alpha, needs_input=False, cache=False)
 
     conj = sub.add_parser("conjecture", help="sdepth(m^k) sweep vs ceil(n/(k+1))")
     conj.add_argument("--n-min", type=int, default=1)
     conj.add_argument("--n-max", type=int, default=4)
     conj.add_argument("--k-min", type=int, default=1)
     conj.add_argument("--k-max", type=int, default=3)
-    add_common(conj, needs_input=False, budget=True)
+    add_common(conj, cmd_conjecture, needs_input=False, budget=True)
 
     mki = sub.add_parser("mki", help="sweep of |G(m^k I)| and sdepth(m^k I)")
-    add_common(mki, budget=True)
+    add_common(mki, cmd_mki, budget=True)
     mki.add_argument("--k-min", type=int, default=0)
     mki.add_argument("--k-max", type=int, default=4)
 
     add_common(sub.add_parser(
         "remark17", help="compare sdepth(I) against sdepth(S/I) + 1"),
-        budget=True)
+        cmd_remark17, budget=True)
 
     verify = sub.add_parser("verify", help="re-check a stored certificate")
     verify.add_argument("certificate", help="certificate JSON path")
+    verify.set_defaults(run=cmd_verify)
     return parser
 
 
-def _load_ideals(
-        args: argparse.Namespace) -> tuple[MonomialIdeal, MonomialIdeal | None]:
-    """Parse the input ideal(s) over a common ambient arity.
+def _load_ideals(args: argparse.Namespace) -> list[MonomialIdeal]:
+    """Parse the input ideal(s) over a common ambient arity: --input, then
+    --input-j where the command has it.
 
     Text inputs infer their arity from the largest variable index; the
     shared arity is the maximum over all inputs, --arity and the --g
@@ -192,7 +194,7 @@ def _load_ideals(
             pad = (0,) * (n - ideal.arity)
             ideal = MonomialIdeal(n, tuple(g + pad for g in ideal.generators))
         ideals.append(ideal)
-    return ideals[0], ideals[1] if len(ideals) > 1 else None
+    return ideals
 
 
 def _ideal_hash(numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -244,12 +246,26 @@ def _emit(args: argparse.Namespace, document, summary_lines) -> None:
             print(line)
 
 
-def _cached(args: argparse.Namespace, key_payload: dict, compute):
-    """Run `compute` through the cache when one is configured."""
+# Parsed arguments that cannot change a result: the input paths and --arity,
+# for which the canonical ideals stand in, the thread count, where and how
+# the result is written, and the handler, which the command already names.
+_UNKEYED = frozenset(
+    {"input", "input_j", "arity", "threads", "cache", "out", "format", "run"})
+
+
+def _cached(args: argparse.Namespace, ideals, compute):
+    """Run `compute` through the cache when one is configured.  The key is
+    the engine version, the canonical input ideals and every other parsed
+    argument, so an option reaches the key as soon as it is parsed."""
     if args.cache is None:
         return compute()
     cache = ResultCache(args.cache)
-    key = content_key({"engine": ENGINE_VERSION, **key_payload})
+    key = content_key({
+        "engine": ENGINE_VERSION,
+        "ideals": [ideal_to_structured(ideal) for ideal in ideals],
+        "args": {name: value for name, value in vars(args).items()
+                 if name not in _UNKEYED},
+    })
     payload = cache.load(key)
     if payload is None:
         payload = compute()
@@ -270,24 +286,15 @@ def _cert_summary(document: dict) -> list[str]:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     """`sdepth` (of an ideal I) and `quotient` (of I/J): a certified value."""
-    numerator, denominator = _load_ideals(args)
+    ideals = _load_ideals(args)
     start = time.perf_counter()
-    if denominator is None:
-        solve = functools.partial(sdepth_ideal, numerator)
-        key = {"command": "sdepth", "ideal": ideal_to_structured(numerator)}
-        denominator = zero_ideal(numerator.arity)
-    else:
-        solve = functools.partial(sdepth_quotient, numerator, denominator)
-        key = {"command": "quotient",
-               "numerator": ideal_to_structured(numerator),
-               "denominator": ideal_to_structured(denominator)}
-    key["g"] = list(args.g or default_box(numerator, denominator))
-    key["timeout"] = args.timeout
+    solve = sdepth_quotient if len(ideals) == 2 else sdepth_ideal
 
     def compute():
-        return certificate_document(solve(g=args.g, timeout_s=args.timeout))
+        return certificate_document(
+            solve(*ideals, g=args.g, timeout_s=args.timeout))
 
-    document = _cached(args, key, compute)
+    document = _cached(args, ideals, compute)
     _emit(args, document, _cert_summary(document))
     if args.format == "text":
         print(f"elapsed_ms: {int((time.perf_counter() - start) * 1000)}")
@@ -295,7 +302,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def cmd_sat(args: argparse.Namespace) -> int:
-    ideal, _ = _load_ideals(args)
+    [ideal] = _load_ideals(args)
 
     def compute():
         report = ideal_saturation_report(ideal)
@@ -310,9 +317,7 @@ def cmd_sat(args: argparse.Namespace) -> int:
             "sdepth_zero_quotient": not report.is_saturated,
         }
 
-    document = _cached(args, {
-        "command": "sat", "ideal": ideal_to_structured(ideal),
-    }, compute)
+    document = _cached(args, [ideal], compute)
     witness = document["witness"]
     summary = [
         f"ideal = {ideal_str(ideal)}",
@@ -332,7 +337,7 @@ def _space_str(monomial, variables) -> str:
 
 
 def cmd_janet(args: argparse.Namespace) -> int:
-    ideal, _ = _load_ideals(args)
+    [ideal] = _load_ideals(args)
     decomposition = janet_decomposition(ideal)
     cap = sum(default_box(unit_ideal(ideal.arity), ideal))
     check = verify_stanley_decomposition(unit_ideal(ideal.arity), ideal,
@@ -375,36 +380,26 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
                                 timeout_s=args.timeout)
         return rows_to_csv(SweepRow, rows)
 
-    document = _cached(args, {
-        "command": "conjecture",
-        "n": [args.n_min, args.n_max],
-        "k": [args.k_min, args.k_max],
-        "timeout": args.timeout,
-    }, compute)
+    document = _cached(args, [], compute)
     _emit(args, document, document.rstrip("\n").splitlines())
     return 0
 
 
 def cmd_mki(args: argparse.Namespace) -> int:
-    ideal, _ = _load_ideals(args)
+    [ideal] = _load_ideals(args)
 
     def compute():
         rows = mki_sweep(ideal, range(args.k_min, args.k_max + 1),
                          timeout_s=args.timeout)
         return rows_to_csv(MkiRow, rows)
 
-    document = _cached(args, {
-        "command": "mki",
-        "ideal": ideal_to_structured(ideal),
-        "k": [args.k_min, args.k_max],
-        "timeout": args.timeout,
-    }, compute)
+    document = _cached(args, [ideal], compute)
     _emit(args, document, document.rstrip("\n").splitlines())
     return 0
 
 
 def cmd_remark17(args: argparse.Namespace) -> int:
-    ideal, _ = _load_ideals(args)
+    [ideal] = _load_ideals(args)
 
     def compute():
         report = ideal_vs_quotient_report(ideal, timeout_s=args.timeout)
@@ -418,11 +413,7 @@ def cmd_remark17(args: argparse.Namespace) -> int:
             "inequality_holds": report.inequality_holds,
         }
 
-    document = _cached(args, {
-        "command": "remark17",
-        "ideal": ideal_to_structured(ideal),
-        "timeout": args.timeout,
-    }, compute)
+    document = _cached(args, [ideal], compute)
     _emit(args, document, [
         f"sdepth(I) = {document['sdepth_ideal']}",
         f"sdepth(S/I) = {document['sdepth_quotient']}",
@@ -473,19 +464,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "sdepth": cmd_certificate,
-    "quotient": cmd_certificate,
-    "sat": cmd_sat,
-    "janet": cmd_janet,
-    "alpha": cmd_alpha,
-    "conjecture": cmd_conjecture,
-    "mki": cmd_mki,
-    "remark17": cmd_remark17,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -493,7 +471,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except IdealParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

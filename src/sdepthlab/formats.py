@@ -30,8 +30,7 @@ class IdealParseError(ValueError):
         self.column = column
 
 
-def parse_monomial_token(token: str, line: int, column: int,
-                         cap: int = DEFAULT_EXPONENT_CAP) -> dict[int, int]:
+def parse_monomial_token(token: str, line: int, column: int) -> dict[int, int]:
     """Parse one monomial token into a {variable index: exponent} map."""
     if token == "1":
         return {}
@@ -51,16 +50,16 @@ def parse_monomial_token(token: str, line: int, column: int,
         if exponent < 0:
             raise IdealParseError(
                 f"negative exponent in {factor!r}", line, col)
-        if exponent > cap:
+        if exponent > DEFAULT_EXPONENT_CAP:
             raise IdealParseError(
-                f"exponent {exponent} exceeds cap {cap}", line, col)
+                f"exponent {exponent} exceeds cap {DEFAULT_EXPONENT_CAP}",
+                line, col)
         exponents[index] = exponents.get(index, 0) + exponent
         col += len(factor) + 1
     return exponents
 
 
-def parse_ideal_text(text: str, arity: int | None = None,
-                     cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIdeal:
+def parse_ideal_text(text: str, arity: int | None = None) -> MonomialIdeal:
     """Parse the one-monomial-per-line format.
 
     When `arity` is omitted, the ambient arity is the largest variable
@@ -73,7 +72,7 @@ def parse_ideal_text(text: str, arity: int | None = None,
         if not stripped or stripped.startswith("#"):
             continue
         column = raw.index(stripped[0]) + 1
-        exps = parse_monomial_token(stripped, lineno, column, cap=cap)
+        exps = parse_monomial_token(stripped, lineno, column)
         if exps:
             max_index = max(max_index, max(exps))
         parsed.append((lineno, exps))
@@ -94,7 +93,7 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_ideal_structured(data, cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIdeal:
+def parse_ideal_structured(data) -> MonomialIdeal:
     """Parse the structured format from a JSON string or decoded object."""
     if isinstance(data, (str, bytes)):
         try:
@@ -115,9 +114,9 @@ def parse_ideal_structured(data, cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIde
             if not is_json_int(e) or e < 0:
                 raise IdealParseError(
                     f"generator {i} has invalid exponent {e!r}", 1)
-            if e > cap:
-                raise IdealParseError(
-                    f"generator {i} exponent {e} exceeds cap {cap}", 1)
+            if e > DEFAULT_EXPONENT_CAP:
+                raise IdealParseError(f"generator {i} exponent {e} exceeds "
+                                      f"cap {DEFAULT_EXPONENT_CAP}", 1)
         gens.append(tuple(row))
     return minimalize(gens, n)
 
@@ -127,12 +126,11 @@ def is_structured(text: str) -> bool:
     return text.lstrip().startswith("{")
 
 
-def parse_ideal(text: str, arity: int | None = None,
-                cap: int = DEFAULT_EXPONENT_CAP) -> MonomialIdeal:
+def parse_ideal(text: str, arity: int | None = None) -> MonomialIdeal:
     """Dispatch on content: structured if it looks like JSON, text otherwise."""
     if is_structured(text):
-        return parse_ideal_structured(text, cap=cap)
-    return parse_ideal_text(text, arity=arity, cap=cap)
+        return parse_ideal_structured(text)
+    return parse_ideal_text(text, arity=arity)
 
 
 def monomial_str(u) -> str:

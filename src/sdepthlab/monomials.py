@@ -23,8 +23,7 @@ class ArityMismatch(ValueError):
     """Raised when operands live in polynomial rings of different arity."""
 
 
-def as_monomial(exponents, arity: int | None = None,
-                cap: int = DEFAULT_EXPONENT_CAP) -> Monomial:
+def as_monomial(exponents, arity: int | None = None) -> Monomial:
     """Validate and normalize an exponent sequence into a Monomial."""
     m = tuple(int(e) for e in exponents)
     if arity is not None and len(m) != arity:
@@ -32,8 +31,8 @@ def as_monomial(exponents, arity: int | None = None,
     for e in m:
         if e < 0:
             raise ValueError(f"negative exponent in {m}")
-        if e > cap:
-            raise ValueError(f"exponent {e} exceeds cap {cap}")
+        if e > DEFAULT_EXPONENT_CAP:
+            raise ValueError(f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
     return m
 
 

@@ -186,6 +186,23 @@ class StanleyDecomposition:
 _FAILED_MEMO_BYTES = 4 << 20
 
 
+def _class_masks(classes: dict[int, int], size: int) -> list[int]:
+    """masks[k] has a bit at each code c with classes[c] == k.  The bits of
+    a class go into a bytearray as wide as its highest code, which becomes
+    an int once: OR-ing them into an int one at a time would copy the int
+    every time, quadratic in the number of codes."""
+    groups: dict[int, list[int]] = {}
+    for c, k in classes.items():
+        groups.setdefault(k, []).append(c)
+    masks = [0] * size
+    for k, codes in groups.items():
+        buffer = bytearray(max(codes) // 8 + 1)
+        for c in codes:
+            buffer[c >> 3] |= 1 << (c & 7)
+        masks[k] = int.from_bytes(buffer, "little")
+    return masks
+
+
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls.
 
@@ -203,19 +220,14 @@ class _Searcher:
         self.poset = poset
         self.codes = poset.codes
         self.m = len(self.codes)
-        self.deg: dict[int, int] = {}
-        self.rho: dict[int, int] = {}
+        self.deg = dict(zip(self.codes, map(sum, poset.elements)))
+        self.rho = {c: sum(map(operator.eq, u, poset.g))
+                    for c, u in zip(self.codes, poset.elements)}
         self.up_closed = poset.is_up_closed()
         # level[d]: elements of degree d; rank_below[s]: elements of rank < s
-        self.level = [0] * (sum(poset.g) + 2)
-        by_rank = [0] * (poset.arity + 1)
-        for c, u in zip(self.codes, poset.elements):
-            self.deg[c] = sum(u)
-            self.rho[c] = poset.rho(u)
-            self.level[self.deg[c]] |= 1 << c
-            by_rank[self.rho[c]] |= 1 << c
-        self.rank_below = list(itertools.accumulate(by_rank, operator.or_,
-                                                    initial=0))
+        self.level = _class_masks(self.deg, sum(poset.g) + 2)
+        self.rank_below = list(itertools.accumulate(
+            _class_masks(self.rho, poset.arity + 1), operator.or_, initial=0))
         self.full_mask = self.rank_below[-1]
         self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
         self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
@@ -398,21 +410,18 @@ class _Searcher:
     def fiber_partition(self) -> list[tuple[int, int]]:
         """Partition an up-closed poset into last-coordinate fibers; each
         fiber is a full interval whose top sits on the ceiling, so every
-        top has rank >= 1."""
-        assert self.up_closed
-        poset = self.poset
-        out: list[tuple[int, int]] = []
-        i = 0
-        elems = poset.elements
-        while i < self.m:
-            prefix = elems[i][:-1]
-            j = i
-            while j + 1 < self.m and elems[j + 1][:-1] == prefix:
-                j += 1
-            top = prefix + (poset.g[-1],)
-            assert elems[j] == top and j - i == top[-1] - elems[i][-1]
-            out.append((self.codes[i], self.codes[j]))
-            i = j + 1
+        top has rank >= 1.  The bottoms are the elements that are not one
+        step above an element on the last axis (stride 1), and the top of
+        bottom c is the last cell of its run of dim cells."""
+        dim = self.poset.dims[-1]
+        step = self.steps[-1][1] if dim > 1 else 0  # no step on a 1-cell axis
+        bottoms = self.full_mask & ~((self.full_mask & step) << 1)
+        out = []
+        while bottoms:
+            low = bottoms & -bottoms
+            c = low.bit_length() - 1
+            bottoms ^= low
+            out.append((c, c - c % dim + dim - 1))
         return out
 
     def intrinsic_upper_bound(self) -> int:
@@ -451,12 +460,15 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
     """Exact decision: a partition with every top of rank >= s, or None.
 
     Raises SearchTimeout when the budget runs out, which is reported
-    distinctly from infeasibility.
+    distinctly from infeasibility; a call with no budget left raises it
+    before any construction, also at a target settled without search.
     """
     if not 0 <= s <= poset.arity:
         raise ValueError(f"target {s} outside [0, {poset.arity}]")
     if stats is None:
         stats = SearchStats()
+    if timeout_s <= 0:
+        raise SearchTimeout(f"time ran out with target {s} open", stats)
     searcher = _get_searcher(poset)
     if searcher.m == 0:
         return IntervalPartition(())
@@ -541,7 +553,8 @@ def sdepth_poset(poset: CharPoset, *,
     ceil(n/(k+1)) at the root, in one node.
 
     `timeout_s` bounds the whole scan: each decision gets only the time
-    left by the ones before it, and SearchTimeout names the open target.
+    left by the ones before it, and SearchTimeout names the open target
+    and carries the counters of every target of the scan.
     `sdepth_quotient` passes what the poset build and the search set-up
     left of its budget.
     """
@@ -555,6 +568,9 @@ def sdepth_poset(poset: CharPoset, *,
         try:
             partition = exists_partition(poset, s, timeout_s=remaining,
                                          stats=stats)
+        except SearchTimeout as exc:
+            exc.stats = total  # the whole scan: `finally` adds this target
+            raise
         finally:
             total.merge(stats)
         if partition is not None:

@@ -51,18 +51,10 @@ class SaturationReport:
         assert self.is_saturated == (self.witness is None)
 
 
-def _witness(saturation: MonomialIdeal, ideal: MonomialIdeal) -> Monomial | None:
-    for g in saturation.generators:
-        if not contains(ideal, g):
-            return g
-    return None
-
-
 def ideal_saturation_report(ideal: MonomialIdeal) -> SaturationReport:
-    """Compare an ideal with its total saturation."""
-    sat = saturate(ideal)
-    witness = _witness(sat, ideal)
-    return SaturationReport(ideal, sat, witness is None, witness)
+    """Compare an ideal with its total saturation: the report of S/I, as
+    sat(I) intersected with the unit ideal is sat(I)."""
+    return sdepth_zero_quotient(unit_ideal(ideal.arity), ideal)[1]
 
 
 def sdepth_zero_quotient(numerator: MonomialIdeal,
@@ -76,7 +68,8 @@ def sdepth_zero_quotient(numerator: MonomialIdeal,
     """
     QuotientPresentation(numerator, denominator)
     relevant = ideal_intersection(saturate(denominator), numerator)
-    witness = _witness(relevant, denominator)
+    witness = next((g for g in relevant.generators
+                    if not contains(denominator, g)), None)
     report = SaturationReport(denominator, relevant, witness is None, witness)
     return not report.is_saturated, report
 

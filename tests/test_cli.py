@@ -370,6 +370,35 @@ def test_cache_ignores_corrupt_entries(tmp_path, m5_file):
         assert out.read_bytes() == fresh.read_bytes()
 
 
+def test_cache_key_is_derived_from_the_parsed_arguments(tmp_path, capsys):
+    """The key holds the canonical ideals and every parsed argument that
+    can change a result: a re-serialised ideal hits the entry, a changed
+    budget, box or sweep range misses it, and the output and thread
+    settings change nothing."""
+    cache = tmp_path / "cache"
+    text = _write(tmp_path / "i.txt", "x1^2\nx1*x2\n")
+    again = _write(tmp_path / "again.txt", "x1*x2\nx1^2*x2\nx1^2\n")
+    structured = _write(tmp_path / "i.json",
+                        '{"n": 2, "generators": [[1, 1], [2, 0]]}')
+
+    def entries(*argv):
+        assert main([*argv, "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        return len(list(cache.glob("*.json")))
+
+    assert entries("sdepth", "--input", text) == 1
+    for path in (again, structured):
+        assert entries("sdepth", "--input", path) == 1
+    for extra in (["--format", "structured"], ["--threads", "3"],
+                  ["--out", str(tmp_path / "cert.json")]):
+        assert entries("sdepth", "--input", text, *extra) == 1
+    assert entries("sdepth", "--input", text, "--timeout", "30") == 2
+    assert entries("sdepth", "--input", text, "--g", "3,3") == 3
+    assert entries("mki", "--input", text, "--k-max", "1") == 4
+    assert entries("mki", "--input", structured, "--k-max", "1") == 4
+    assert entries("mki", "--input", text, "--k-max", "2") == 5
+
+
 def test_principal_ideal_far_out_is_fast(tmp_path, capsys):
     """A one-element poset: the poset build and the search set-up walk
     only the cells between the generators' minimum and the box corner."""

@@ -50,7 +50,7 @@ def test_as_monomial_validation():
     with pytest.raises(ValueError):
         as_monomial([-1, 0])
     with pytest.raises(ValueError):
-        as_monomial([2**15], cap=2**15 - 1)
+        as_monomial([2**15])
     with pytest.raises(ArityMismatch):
         as_monomial([1, 0], arity=3)
 

@@ -265,6 +265,60 @@ def test_budget_covers_the_poset_build(monkeypatch, solve, target):
         solve()
 
 
+def test_no_budget_left_settles_no_target(monkeypatch):
+    """A target settled by construction obeys the budget like a searched
+    one: S/(x1, x2) has one element, so its scan is the singleton target
+    0, which an overrun build must leave open rather than answer."""
+    original = partitions.build_poset
+
+    def slow_build(*args):
+        time.sleep(0.2)
+        return original(*args)
+
+    monkeypatch.setattr(partitions, "build_poset", slow_build)
+    with pytest.raises(SearchTimeout, match="target 0 open"):
+        sdepth_quotient(unit_ideal(2), maximal_power(2, 1), timeout_s=0.05)
+    for s in (0, 1):
+        with pytest.raises(SearchTimeout, match=f"target {s} open"):
+            exists_partition(maximal_power_poset(3, 1), s, timeout_s=0)
+
+
+def test_timeout_stats_cover_the_whole_scan(monkeypatch):
+    """The counters of a timed-out scan add up every target, not only the
+    open one: on m^2 in 7 variables targets 7 to 4 are refuted at the root
+    before target 3 runs out of time."""
+    per_target = []
+    original = partitions.exists_partition
+
+    def recording(poset, s, **kwargs):
+        per_target.append(kwargs["stats"])
+        return original(poset, s, **kwargs)
+
+    monkeypatch.setattr(partitions, "exists_partition", recording)
+    with pytest.raises(SearchTimeout, match="target 3 open") as info:
+        sdepth_ideal(maximal_power(7, 2), timeout_s=0.3)
+    assert len(per_target) == 5
+    assert info.value.stats.nodes == sum(st.nodes for st in per_target)
+    assert info.value.stats.nodes == per_target[-1].nodes + 4
+    assert info.value.stats.prunes == sum(st.prunes for st in per_target)
+
+
+def test_search_set_up_costs_less_than_the_poset_build():
+    """No pre-search step costs more than the poset it feeds: m^4 in 7
+    variables has 78,005 elements, and OR-ing them one bit at a time into
+    the level and rank masks made the set-up take 1.4 to 1.9 times the
+    build.  Best of three of each."""
+    build, set_up = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        poset = maximal_power_poset(7, 4)
+        build.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        partitions._Searcher(poset)
+        set_up.append(time.perf_counter() - start)
+    assert min(set_up) < min(build)
+
+
 def test_search_set_up_keeps_nothing_per_non_element_cell():
     """S/m^2 in 9 variables has 10 elements in a sub-box of 3^9 = 19,683
     cells.  The search set-up keeps a few masks per element and per shift
