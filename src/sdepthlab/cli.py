@@ -229,10 +229,37 @@ def certificate_document(cert: SdepthCertificate) -> dict:
     }
 
 
+# One scalar or string key to JSON text by the C encoder; json.dumps with an
+# indent would take the pure-Python encoder for the whole document.
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _json_text(value, indent: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, nested under
+    `indent`, for documents of dicts with string keys, lists and scalars.
+    A list of plain ints is one join: an int is its own repr in JSON, and
+    the type test leaves out bools, which JSON spells in lower case."""
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            _encode_scalar(key) + ": " + _json_text(item, inner)
+            for key, item in value.items())
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        if all(type(item) is int for item in value):
+            body = (",\n" + inner).join(map(repr, value))
+        else:
+            body = (",\n" + inner).join(
+                _json_text(item, inner) for item in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _encode_scalar(value)
+
+
 def _document_text(document) -> str:
     if isinstance(document, str):
         return document
-    return json.dumps(document, indent=2) + "\n"
+    return _json_text(document, "") + "\n"
 
 
 def _emit(args: argparse.Namespace, document, summary_lines) -> None:

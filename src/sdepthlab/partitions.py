@@ -78,6 +78,24 @@ masks, and finds the minimal uncovered elements by shifts:
   target, so a memo hit would have passed the prune again: the order
   changes no node, prune or partition.
 
+  Invariant search.  When the cycle sigma: x1 -> x2 -> ... -> xn -> x1 maps
+  the generators of I, those of J and the corner g to themselves, it maps
+  the poset onto itself and keeps divisibility and rank, and the search
+  first looks only for partitions that sigma fixes (Kramer and Mesner,
+  Discrete Math. 15 (1976) 263-296).  Each branch at bottom w and top v
+  places the whole orbit of [w, v]: the images [sigma^j w, sigma^j v],
+  each of which must be uncovered, and any two of which must be equal or
+  disjoint.  An invariant partition is a partition, and the certificate
+  check re-checks it like any other.  The uncovered set stays invariant,
+  as it loses whole orbits, and the bottom is minimal in it, so the
+  interval that covers it in an invariant completion starts at it and
+  trying every top covers all invariant completions.  The counting prune
+  refutes every completion, so a prune at the root settles the target for
+  both searches; the failed memo holds states with no invariant
+  completion, so it is kept per search.  An exhausted orbit search proves
+  nothing, as a partition need not be invariant, so the plain search, the
+  identity permutation, follows it on the budget left.
+
 Feasibility at s = 0 (singletons) and, for up-closed posets, at s = 1
 (fibers along the last coordinate) admit direct constructions, so the
 backtracker only ever runs where real search is needed.  Every certificate
@@ -96,7 +114,6 @@ from dataclasses import dataclass
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    divides,
     maximal_power,  # noqa: F401  (public name, wrapped by perfbench/tracing.py)
     zero_ideal,
 )
@@ -213,7 +230,9 @@ class _Searcher:
     filter by rank.  `passes` holds the (shift, keep) pairs of the doubling
     passes of the up-closure, `keep` the cells that the shift moves to an
     element without carrying past the ceiling of its axis, and `steps` the
-    single-step pass of each axis, for `minimal` and `covers`.
+    single-step pass of each axis, for `minimal` and `covers`.  `cycle` is
+    the action of the variable cycle on cell codes when it fixes the input
+    and moves some cell, else None (module docstring, "Invariant search").
     """
 
     def __init__(self, poset: CharPoset):
@@ -255,7 +274,26 @@ class _Searcher:
                     self.steps.append((shift, keep))
                 k *= 2
         self._candidates_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.cycle = self._variable_cycle()
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
+
+    def _variable_cycle(self):
+        """The action on cell codes of x1 -> x2 -> ... -> xn -> x1 when it
+        maps the generators of I and of J and the corner g to themselves,
+        found in O(n |G|), and moves a cell; else None.  Then lo, the least
+        exponents of I, is fixed too, so every side of the sub-box has the
+        same length d, and (u1, ..., un) going to (un, u1, ..., un-1) moves
+        the last digit of a cell code to the front, of weight d ** (n - 1)."""
+        poset = self.poset
+        if poset.arity < 2 or self.m == 0 or poset.dims[0] < 2:
+            return None
+        for gens in (poset.numerator.generators,
+                     poset.denominator.generators, (poset.g,)):
+            fixed = set(gens)
+            if any(u[-1:] + u[:-1] not in fixed for u in gens):
+                return None
+        d, lead = poset.dims[0], poset.strides[0]
+        return lambda c: c // d + c % d * lead
 
     def shape(self, d: int) -> int:
         """The box [0, d] as a mask, one shift per step ("Shifted shapes")."""
@@ -349,12 +387,33 @@ class _Searcher:
                 return None
         return best
 
-    def decide(self, s: int, timeout_s: float,
-               stats: SearchStats) -> list[tuple[int, int]] | None:
-        """Exhaustive search for a full cover with all tops of rank >= s.
-        Returns (bottom, top) cell-code pairs or None if none exists.
-        Each node branches on the bottom that `branch_bottom` returns with
-        the prune's verdict.
+    def orbit(self, w: int, v: int, placed: int, uncovered: int,
+              cycle) -> tuple[int, list[tuple[int, int]]] | None:
+        """The union of the images [sigma^j w, sigma^j v] and their (bottom,
+        top) pairs, given `placed`, the mask of [w, v] itself; None when an
+        image is not uncovered or meets another image without being it.
+        Two images are the same interval iff they have the same bottom and
+        top, so the walk stops when the pair comes back to (w, v)."""
+        pairs = [(w, v)]
+        a, b = cycle(w), cycle(v)
+        while a != w or b != v:
+            image = self.shape(b - a) << a
+            if image & uncovered != image or image & placed:
+                return None
+            placed |= image
+            pairs.append((a, b))
+            a, b = cycle(a), cycle(b)
+        return placed, pairs
+
+    def decide(self, s: int, timeout_s: float, stats: SearchStats,
+               cycle=None) -> list[tuple[int, int]] | None:
+        """Exhaustive search for a full cover with all tops of rank >= s,
+        among the partitions that the cell permutation `cycle` fixes, or
+        among all of them when it is None (module docstring, "Invariant
+        search").  Returns (bottom, top) cell-code pairs or None if none
+        exists.  Each node branches on the bottom that `branch_bottom`
+        returns with the prune's verdict, and each top places the orbit of
+        its interval.
 
         Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
         once it is full it takes no more states.  The memo only spares
@@ -390,9 +449,15 @@ class _Searcher:
             for v, shape in self._candidates(w, s):
                 if free & shape != shape:
                     continue
-                rest = rec(uncovered ^ shape << w)
+                placed, pairs = shape << w, ((w, v),)
+                if cycle is not None:
+                    orbit = self.orbit(w, v, placed, uncovered, cycle)
+                    if orbit is None:
+                        continue
+                    placed, pairs = orbit
+                rest = rec(uncovered ^ placed)
                 if rest is not None:
-                    rest.append((w, v))
+                    rest.extend(reversed(pairs))
                     return rest
             if len(failed) < capacity:
                 failed.add(uncovered)
@@ -477,7 +542,14 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
     elif s == 1 and searcher.up_closed:
         pairs = searcher.fiber_partition()
     else:
-        pairs = searcher.decide(s, timeout_s, stats)
+        start, nodes, prunes = time.monotonic(), stats.nodes, stats.prunes
+        pairs = searcher.decide(s, timeout_s, stats, searcher.cycle)
+        # an exhausted orbit search proves nothing, unless the counting
+        # prune cut its root, which refutes every completion
+        root_refuted = stats.nodes - nodes == 1 == stats.prunes - prunes
+        if pairs is None and searcher.cycle is not None and not root_refuted:
+            pairs = searcher.decide(
+                s, timeout_s - (time.monotonic() - start), stats)
     if pairs is None:
         return None
     return _pairs_to_partition(poset, pairs)
@@ -487,22 +559,24 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
                      s: int) -> CheckResult:
     """Independent certificate checker: interval containment in the poset,
     pairwise disjointness, exact cover, and min rank of tops >= s.  Linear
-    in the poset size, by marking; never trusts solver internals."""
+    in the poset size, by marking; never trusts solver internals.  Each
+    interval's cells come from its own box enumeration, looked up in the
+    poset's element index."""
+    members, g = poset._position, poset.g
     seen: set[Monomial] = set()
     for interval in partition:
         bottom, top = tuple(interval.bottom), tuple(interval.top)
-        if bottom not in poset:
+        if bottom not in members:
             return CheckResult(False, f"bottom {bottom} is not a poset element")
-        if top not in poset:
+        if top not in members:
             return CheckResult(False, f"top {top} is not a poset element")
-        if not divides(bottom, top):
+        if not all(map(operator.le, bottom, top)):
             return CheckResult(False, f"bottom {bottom} does not divide top {top}")
-        if poset.rho(top) < s:
-            return CheckResult(
-                False, f"top {top} has rank {poset.rho(top)} < {s}")
-        for w in itertools.product(*(range(a, b + 1)
-                                     for a, b in zip(bottom, top))):
-            if w not in poset:
+        rank = sum(map(operator.eq, top, g))
+        if rank < s:
+            return CheckResult(False, f"top {top} has rank {rank} < {s}")
+        for w in itertools.product(*map(range, bottom, map((1).__add__, top))):
+            if w not in members:
                 return CheckResult(
                     False, f"interval [{bottom}, {top}] leaves the poset at {w}")
             if w in seen:
@@ -521,7 +595,8 @@ def verify_certificate(poset: CharPoset, partition: IntervalPartition,
     if len(poset) == 0:
         return CheckResult(False, "the poset is empty (the quotient module is zero)")
     check = verify_partition(poset, partition, s)
-    if check and min(poset.rho(iv.top) for iv in partition) != s:
+    if check and min(sum(map(operator.eq, iv.top, poset.g))
+                     for iv in partition) != s:
         return CheckResult(False, f"every top has rank above {s}")
     return check
 

@@ -6,8 +6,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdepthlab
+from sdepthlab import cli
 from sdepthlab.cli import _ideal_hash, build_parser, main
 from sdepthlab.formats import ideal_to_structured, parse_ideal
 
@@ -235,6 +238,55 @@ def test_sat_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "is_saturated = false" in out
     assert "witness = x1" in out
+
+
+def test_every_document_kind_is_written_as_json_dumps_writes_it(
+        tmp_path, monkeypatch, capsys):
+    """The document writer gives the bytes of json.dumps(indent=2) on every
+    kind of document the CLI writes; the CSV documents pass as they are."""
+    documents = []
+    original = cli._document_text
+
+    def recording(document):
+        documents.append(document)
+        return original(document)
+
+    monkeypatch.setattr(cli, "_document_text", recording)
+    ideal = _write(tmp_path / "i.txt", "x1^2*x2\nx2*x3\nx1*x3^2\n")
+    unit = _write(tmp_path / "one.txt", "1\n")
+    for argv in (["sdepth", "--input", ideal],
+                 ["quotient", "--input", unit, "--input-j", ideal],
+                 ["janet", "--input", ideal],
+                 ["sat", "--input", ideal],
+                 ["conjecture", "--n-max", "2", "--k-max", "2"],
+                 ["mki", "--input", ideal, "--k-max", "1"],
+                 ["remark17", "--input", ideal]):
+        assert main(argv + ["--format", "structured"]) == 0
+    capsys.readouterr()
+    schemas = []
+    for document in documents:
+        if isinstance(document, str):
+            assert original(document) == document
+        else:
+            assert original(document) == json.dumps(document, indent=2) + "\n"
+            schemas.append(document["schema"])
+    assert len(documents) == 7
+    assert sorted(schemas) == [
+        "janet-decomposition@1", "saturation-report@1",
+        "sdepth-certificate@1", "sdepth-certificate@1",
+        "sdepth-comparison@1"]
+
+
+_json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_documents)
+def test_document_writer_matches_json_dumps(document):
+    assert cli._json_text(document, "") == json.dumps(document, indent=2)
 
 
 def test_timeout_exit_code(tmp_path, capsys):

@@ -321,7 +321,72 @@ def test_sdepth_quotient_matches_brute_force(n, gens, shift, proper):
     assert cert.s == brute_force_sdepth(elements, box)
 
 
+def _cycle_closure(gens, n):
+    """The generators with all their images under x1 -> x2 -> ... -> xn -> x1."""
+    return [g[-j:] + g[:-j] for g in gens for j in range(n)]
+
+
+_cyclic_gens = st.lists(
+    st.tuples(*(st.integers(0, 2),) * 4), min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 4), gens=_cyclic_gens, shift=_cyclic_gens,
+       kind=st.sampled_from(["I", "S/J", "I/J"]))
+def test_orbit_search_matches_brute_force(n, gens, shift, kind):
+    """Ideals and quotients that the variable cycle fixes, made by closing
+    random generators under it, against the oracle that maximizes over all
+    partitions: the orbit search, with the plain search after it when it
+    exhausts, finds the same value."""
+    gens = _cycle_closure([g[:n] for g in gens], n)
+    if kind == "I":
+        num_gens, den_gens = gens, []
+    elif kind == "S/J":
+        num_gens, den_gens = [(0,) * n], gens
+    else:
+        num_gens = gens
+        den_gens = [tuple(a + b for a, b in zip(g, t))
+                    for g in gens
+                    for t in _cycle_closure([t[:n] for t in shift], n)]
+    num, den = minimalize(num_gens, n), minimalize(den_gens, n)
+    box = tuple(max(g[j] for g in num.generators + den.generators)
+                for j in range(n))
+    elements = [u for u in itertools.product(*(range(e + 1) for e in box))
+                if member_of_ideal(num.generators, u)
+                and not member_of_ideal(den.generators, u)]
+    assume(0 < len(elements) <= 12)
+    cert = sdepth_quotient(num, den)
+    assert cert.s == brute_force_sdepth(elements, box)
+    cycle = partitions._get_searcher(cert.poset).cycle
+    assert (cycle is not None) == (cert.poset.dims[0] > 1)
+
+
+def test_exhausted_orbit_search_hands_over_to_the_plain_search():
+    """S/(x1 x2) is 1, x1, x2: the bottom 1 has tops x1 and x2 at target 1,
+    and each interval meets its image at 1, so the orbit search exhausts at
+    its root without a prune; the plain search then finds [1, x2], [x1, x1]."""
+    poset = build_poset(unit_ideal(2), minimalize([(1, 1)], 2))
+    assert partitions._get_searcher(poset).cycle is not None
+    stats = partitions.SearchStats()
+    partition = partitions.exists_partition(poset, 1, stats=stats)
+    assert [(iv.bottom, iv.top) for iv in partition] == [
+        ((0, 0), (0, 1)), ((1, 0), (1, 0))]
+    assert (stats.nodes, stats.prunes) == (1 + 2, 0)
+
+
+def test_root_refutation_under_the_cycle_counts_one_node():
+    """A prune at the root refutes every completion, so the plain search
+    does not run after the orbit search."""
+    poset = build_poset(maximal_power(7, 2))
+    assert partitions._get_searcher(poset).cycle is not None
+    stats = partitions.SearchStats()
+    assert partitions.exists_partition(poset, 4, stats=stats) is None
+    assert (stats.nodes, stats.prunes) == (1, 1)
+
+
 MIDHARD = minimalize([(0, 2, 0, 1, 0), (1, 1, 2, 0, 0), (2, 2, 1, 0, 1)], 5)
+# m in 8 variables with a box the cycle does not fix
+M8_SKEW = (maximal_power(8, 1), (2,) + (1,) * 7)
 
 
 def _digest(cert) -> str:
@@ -330,16 +395,18 @@ def _digest(cert) -> str:
 
 
 @pytest.mark.parametrize("solve, s, nodes, prunes, digest", [
-    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 57, 34, "c7bcb6da4c05cafa"),
-    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 100, 48,
-     "69ab87b6b37aabf8"),
-    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 116, 53,
-     "04d63805822c5470"),
+    (lambda: sdepth_ideal(maximal_power(8, 1)), 4, 14, 4, "3b81880b54a964dc"),
+    (lambda: sdepth_ideal(maximal_power(5, 2)), 2, 30, 24,
+     "ff937e726d031fc0"),
+    (lambda: sdepth_ideal(maximal_power(6, 2)), 2, 36, 25,
+     "ad182f0002b39eb0"),
     (lambda: sdepth_quotient(unit_ideal(5), MIDHARD), 2, 1747, 0,
      "8aec67559402c5de"),
-    (lambda: sdepth_ideal(maximal_power(11, 1)), 6, 1449, 771,
-     "f0b73aaa302aea45"),
-], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I", "m-n11"])
+    (lambda: sdepth_ideal(maximal_power(11, 1)), 6, 21, 5,
+     "2e92d260af51bb08"),
+    (lambda: sdepth_ideal(M8_SKEW[0], g=M8_SKEW[1]), 4, 80, 57,
+     "8f965348eb579d30"),
+], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I", "m-n11", "m-n8-skew-g"])
 def test_search_is_deterministic(solve, s, nodes, prunes, digest):
     """Node and prune counts do not depend on the machine: any change of the
     search order, the prunes or the memo shows here, as does any other
@@ -347,6 +414,16 @@ def test_search_is_deterministic(solve, s, nodes, prunes, digest):
     cert = solve()
     assert (cert.s, cert.stats.nodes, cert.stats.prunes, _digest(cert)) == (
         s, nodes, prunes, digest)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sdepth_quotient(unit_ideal(5), MIDHARD),
+    lambda: sdepth_ideal(M8_SKEW[0], g=M8_SKEW[1]),
+], ids=["midhard-S/I", "m-n8-skew-g"])
+def test_inputs_the_cycle_does_not_fix_search_as_before(solve):
+    """Their rows above keep the nodes, prunes and digests of the search
+    without the orbit search."""
+    assert partitions._get_searcher(solve().poset).cycle is None
 
 
 def test_tiny_memo_budget_keeps_the_answer(monkeypatch):

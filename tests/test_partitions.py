@@ -285,8 +285,8 @@ def test_no_budget_left_settles_no_target(monkeypatch):
 
 def test_timeout_stats_cover_the_whole_scan(monkeypatch):
     """The counters of a timed-out scan add up every target, not only the
-    open one: on m^2 in 7 variables targets 7 to 4 are refuted at the root
-    before target 3 runs out of time."""
+    open one: on m^4 in 6 variables targets 6 to 3 are refuted at the root
+    before target 2 runs out of time."""
     per_target = []
     original = partitions.exists_partition
 
@@ -295,8 +295,8 @@ def test_timeout_stats_cover_the_whole_scan(monkeypatch):
         return original(poset, s, **kwargs)
 
     monkeypatch.setattr(partitions, "exists_partition", recording)
-    with pytest.raises(SearchTimeout, match="target 3 open") as info:
-        sdepth_ideal(maximal_power(7, 2), timeout_s=0.3)
+    with pytest.raises(SearchTimeout, match="target 2 open") as info:
+        sdepth_ideal(maximal_power(6, 4), timeout_s=0.5)
     assert len(per_target) == 5
     assert info.value.stats.nodes == sum(st.nodes for st in per_target)
     assert info.value.stats.nodes == per_target[-1].nodes + 4
@@ -378,6 +378,17 @@ def test_root_prune_refutes_every_target_above_the_conjecture():
                 stats = SearchStats()
                 assert exists_partition(p, s, stats=stats) is None
                 assert (stats.nodes, stats.prunes) == (1, 1), (n, k, s)
+
+
+@pytest.mark.parametrize("k, n", [
+    (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11), (2, 4), (2, 5),
+    (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
+def test_every_mpow_rung_solves_at_the_conjecture(k, n):
+    """Every m^k rung of the benchmark ladder and frontier, m^2 in 7 and m^3
+    in 5 variables among them, is solved at ceil(n/(k+1)) within 2 s."""
+    cert = sdepth_ideal(maximal_power(n, k), timeout_s=2.0)
+    assert cert.s == -(-n // (k + 1))
+    assert verify_certificate(cert.poset, cert.partition, cert.s)
 
 
 def test_search_stats_accumulate():

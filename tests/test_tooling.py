@@ -5,11 +5,15 @@ posets.build and partitions.searcher_init spans need three names to stay
 in place: `partitions.build_poset`, looked up at call time by
 `sdepth_ideal`/`sdepth_quotient`; `counting_prune`, public, which the
 tracer calls to force the search set-up; and `partitions.exists_partition`,
-called with its budget and stats by keyword."""
+called with its budget and stats by keyword.  The partitions.verify span
+needs `verify_certificate` to reach `partitions.verify_partition` by its
+module name.  The package metadata must name the engine version."""
 
 import importlib.util
+import re
 from pathlib import Path
 
+from sdepthlab import ENGINE_VERSION
 from sdepthlab.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,4 +37,16 @@ def test_tracer_records_the_layers_of_an_sdepth_call(tmp_path):
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"partitions.decide", "partitions.solve", "monomials",
-            "posets.build", "partitions.searcher_init"} <= names
+            "posets.build", "partitions.searcher_init",
+            "partitions.verify"} <= names
+
+
+def test_package_version_is_the_engine_version():
+    """pyproject.toml and ENGINE_VERSION name the same release.  A regex
+    reads the file, as tomllib needs Python 3.11 and the package allows
+    3.10."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [
+        ENGINE_VERSION]
