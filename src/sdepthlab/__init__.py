@@ -75,5 +75,5 @@ from .structure import (
     sdepth_zero_quotient,
 )
 
-ENGINE_VERSION = "0.3.0"
+ENGINE_VERSION = "0.4.0"
 __version__ = ENGINE_VERSION

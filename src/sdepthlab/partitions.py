@@ -96,11 +96,35 @@ masks, and finds the minimal uncovered elements by shifts:
   nothing, as a partition need not be invariant, so the plain search, the
   identity permutation, follows it on the budget left.
 
-Feasibility at s = 0 (singletons) and, for up-closed posets, at s = 1
-(fibers along the last coordinate) admit direct constructions, so the
-backtracker only ever runs where real search is needed.  Every certificate
-is re-checked by an independent marking verifier, which enumerates each
-interval's box itself, before it is returned.
+Target 0 is met by singletons, and target 1 is decided both ways by a
+construction, so the backtracker runs only at s >= 2:
+
+  Fibers.  Let R start as the poset and take the axes from the last to
+  the first.  On axis j, each element u of R whose line inside R reaches
+  g_j starts a run [u, u * x_j^(g_j - u_j)]; each run is an interval
+  whose top has rank >= 1, and the runs leave R.  R stays (I cap U)
+  minus J, U the up-set of the cells whose raise to g_j on every
+  processed axis lies in J.  So R is convex, each line of R is one run,
+  and whether a line reaches g_j does not depend on u_j.  After axis 1,
+  R is the box part of ((J : m^infinity) cap I) minus J.  If R is empty,
+  the runs partition the poset at target 1.  If not, a maximal poset
+  element above an element of R lies in R and has rank 0, as a
+  coordinate at the ceiling would put it outside U; it must be its own
+  interval's top, so target 1 is infeasible.  This is the theorem that
+  sdepth(I/J) = 0 exactly when depth(I/J) = 0, made constructive.  On an
+  up-closed poset R is empty after the last axis, and the runs are its
+  last-axis fibers.
+
+  In masks, the run cells of an axis of stride t and side d are found
+  from the ceiling down: reach = R & ceiling, then reach |= reach >> shift
+  & keep & R for each doubling pass of the axis, which loses nothing as
+  each line of R is one run.  The bottoms are the cells of reach that are
+  not one step above a cell of reach & ~ceiling, and the top of bottom c
+  is c + (d - 1 - c // t % d) * t.  A one-cell axis puts every cell on
+  the ceiling, so its runs are single cells.
+
+Every certificate is re-checked by an independent marking verifier, which
+enumerates each interval's box itself, before it is returned.
 """
 
 from __future__ import annotations
@@ -220,6 +244,14 @@ def _class_masks(classes: dict[int, int], size: int) -> list[int]:
     return masks
 
 
+def _cells(mask: int):
+    """The cell codes of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls.
 
@@ -230,9 +262,11 @@ class _Searcher:
     filter by rank.  `passes` holds the (shift, keep) pairs of the doubling
     passes of the up-closure, `keep` the cells that the shift moves to an
     element without carrying past the ceiling of its axis, and `steps` the
-    single-step pass of each axis, for `minimal` and `covers`.  `cycle` is
-    the action of the variable cycle on cell codes when it fixes the input
-    and moves some cell, else None (module docstring, "Invariant search").
+    single-step pass of each axis, for `minimal` and `covers`.  `lines`
+    holds the stride, side, ceiling cells and passes of each axis, for
+    `fiber_partition`.  `cycle` is the action of the variable cycle on
+    cell codes when it fixes the input and moves some cell, else None
+    (module docstring, "Invariant search").
     """
 
     def __init__(self, poset: CharPoset):
@@ -242,7 +276,6 @@ class _Searcher:
         self.deg = dict(zip(self.codes, map(sum, poset.elements)))
         self.rho = {c: sum(map(operator.eq, u, poset.g))
                     for c, u in zip(self.codes, poset.elements)}
-        self.up_closed = poset.is_up_closed()
         # level[d]: elements of degree d; rank_below[s]: elements of rank < s
         self.level = _class_masks(self.deg, sum(poset.g) + 2)
         self.rank_below = list(itertools.accumulate(
@@ -255,6 +288,7 @@ class _Searcher:
         width = self.full_mask.bit_length()
         self.steps: list[tuple[int, int]] = []
         self.passes: list[tuple[int, int]] = []
+        self.lines: list[tuple[int, int, int, list[tuple[int, int]]]] = []
         for stride, dim in zip(poset.strides, poset.dims):
             # one bit per block of stride * dim cells that share the digits
             # of the axes before this one
@@ -262,6 +296,8 @@ class _Searcher:
             while span < width:
                 repeat |= repeat << span
                 span *= 2
+            ceiling = ((1 << stride) - 1 << stride * (dim - 1)) * repeat
+            axis_passes = []
             k = 1
             while k < dim:
                 # the cells whose digit on this axis is below dim - k and
@@ -269,10 +305,11 @@ class _Searcher:
                 shift = stride * k
                 keep = (((1 << stride * (dim - k)) - 1) * repeat
                         & self.full_mask >> shift)
-                self.passes.append((shift, keep))
-                if k == 1:
-                    self.steps.append((shift, keep))
+                axis_passes.append((shift, keep))
                 k *= 2
+            self.passes += axis_passes
+            self.steps += axis_passes[:1]
+            self.lines.append((stride, dim, ceiling, axis_passes))
         self._candidates_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.cycle = self._variable_cycle()
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
@@ -323,13 +360,8 @@ class _Searcher:
         key = (c, s)
         cached = self._candidates_cache.get(key)
         if cached is None:
-            tops = []
-            bits = self.multiples(c) & ~self.rank_below[s]
-            while bits:
-                low = bits & -bits
-                tops.append(low.bit_length() - 1)
-                bits ^= low
-            tops.sort(key=self.deg.__getitem__, reverse=True)  # stable: lex
+            tops = sorted(_cells(self.multiples(c) & ~self.rank_below[s]),
+                          key=self.deg.__getitem__, reverse=True)  # stable: lex
             get = self._shapes.get  # a shape is never 0: `or` only on a miss
             cached = [(v, get(v - c) or self.shape(v - c)) for v in tops]
             self._candidates_cache[key] = cached
@@ -472,22 +504,20 @@ class _Searcher:
     def singleton_partition(self) -> list[tuple[int, int]]:
         return [(c, c) for c in self.codes]
 
-    def fiber_partition(self) -> list[tuple[int, int]]:
-        """Partition an up-closed poset into last-coordinate fibers; each
-        fiber is a full interval whose top sits on the ceiling, so every
-        top has rank >= 1.  The bottoms are the elements that are not one
-        step above an element on the last axis (stride 1), and the top of
-        bottom c is the last cell of its run of dim cells."""
-        dim = self.poset.dims[-1]
-        step = self.steps[-1][1] if dim > 1 else 0  # no step on a 1-cell axis
-        bottoms = self.full_mask & ~((self.full_mask & step) << 1)
-        out = []
-        while bottoms:
-            low = bottoms & -bottoms
-            c = low.bit_length() - 1
-            bottoms ^= low
-            out.append((c, c - c % dim + dim - 1))
-        return out
+    def fiber_partition(self) -> list[tuple[int, int]] | None:
+        """A partition with every top of rank >= 1, or None when there is
+        none: from the last axis to the first, the elements left whose
+        line reaches the ceiling leave as runs (module docstring,
+        "Fibers")."""
+        rest, out = self.full_mask, []
+        for stride, dim, ceiling, axis_passes in reversed(self.lines):
+            reach = rest & ceiling
+            for shift, keep in axis_passes:
+                reach |= reach >> shift & keep & rest
+            rest ^= reach
+            out += ((c, c + (dim - 1 - c // stride % dim) * stride) for c in
+                    _cells(reach & ~((reach & ~ceiling) << stride)))
+        return None if rest else out
 
     def intrinsic_upper_bound(self) -> int:
         """Largest s any partition could reach: each minimal poset element
@@ -495,10 +525,7 @@ class _Searcher:
         highest-ranked of its multiples.  On a nonempty up-closed poset
         the corner g is above every element, so the bound is n."""
         ub = self.poset.arity
-        bits = self.minimal(self.full_mask)
-        while bits:
-            c = (bits & -bits).bit_length() - 1
-            bits ^= 1 << c
+        for c in _cells(self.minimal(self.full_mask)):
             while not self.multiples(c) & ~self.rank_below[ub]:
                 ub -= 1
         return ub
@@ -539,7 +566,7 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
         return IntervalPartition(())
     if s == 0:
         pairs = searcher.singleton_partition()
-    elif s == 1 and searcher.up_closed:
+    elif s == 1:
         pairs = searcher.fiber_partition()
     else:
         start, nodes, prunes = time.monotonic(), stats.nodes, stats.prunes

@@ -185,18 +185,6 @@ class CharPoset:
             counts[d] = counts.get(d, 0) + 1
         return LevelTable(counts)
 
-    def is_up_closed(self) -> bool:
-        """True when every box multiple of an element is again an element
-        (always the case for ideals; a proper quotient I/J misses the
-        multiples that lie in J).
-
-        Exact for any g, in O(|G(J)|): I is up-closed, so only J cells can
-        be missing multiples.  If a J generator divides g and u is an
-        element, lcm(u, generator) is a box multiple of u that lies in J;
-        if none does, the box holds no J cell at all."""
-        return not self.elements or not any(
-            divides(gen, self.g) for gen in self.denominator.generators)
-
     def dump(self) -> str:
         """Debug listing: header (n, g, |P|) then one line per element
         (exponent vector, degree, rho), in code order."""

@@ -65,6 +65,11 @@ def sdepth_zero_quotient(numerator: MonomialIdeal,
     Stanley depth vanishes exactly when its depth does, i.e. when the
     saturation submodule ((J : m^infinity) cap I) / J is nonzero.  For S/I
     (unit numerator) this is the classical test I^sat != I.
+
+    The search decides the same question by its own construction at
+    target 1 (`partitions`, "Fibers"); this test stays as the independent
+    oracle, which acceptance criterion 6 and the benchmark's janet check
+    both use.
     """
     QuotientPresentation(numerator, denominator)
     relevant = ideal_intersection(saturate(denominator), numerator)

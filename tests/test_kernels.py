@@ -1,9 +1,9 @@
 """Oracle tests for the bitmask kernels of the poset build and the search:
 membership DP, multiples and covers, the convexity and shifted box shapes
 that make interval masks need no table and no hole test, candidate order,
-the upper bound, the up-closure test, the minimal elements found by
-shifts, the popcount counting prune, the branch bottom it picks and the
-bounded failed-state memo.
+the upper bound, the fibers that decide target 1, the minimal elements
+found by shifts, the popcount counting prune, the branch bottom it picks
+and the bounded failed-state memo.
 
 The search masks are indexed by sub-box cell code; the oracles here work on
 element indices, and `_to_cells` translates their masks."""
@@ -30,6 +30,7 @@ from sdepthlab import (
     minimalize,
     sdepth_ideal,
     sdepth_quotient,
+    sdepth_zero_quotient,
     unit_ideal,
     verify_partition,
     zero_ideal,
@@ -142,9 +143,16 @@ def _upper_bound_oracle(poset):
     return ub
 
 
-def test_intrinsic_upper_bound(oracle_posets):
-    small = 0
-    for p in oracle_posets:
+@pytest.fixture(scope="module")
+def small_sdepths(oracle_posets):
+    """The brute-force sdepth of each oracle poset of 1 to 12 elements, by
+    its index in oracle_posets."""
+    return {i: brute_force_sdepth(p.elements, p.g)
+            for i, p in enumerate(oracle_posets) if 0 < len(p) <= 12}
+
+
+def test_intrinsic_upper_bound(oracle_posets, small_sdepths):
+    for i, p in enumerate(oracle_posets):
         ub = partitions._get_searcher(p).intrinsic_upper_bound()
         assert ub == _upper_bound_oracle(p)
         if len(p) > 0 and any(divides_raw(gen, p.g)
@@ -152,10 +160,9 @@ def test_intrinsic_upper_bound(oracle_posets):
             # g lies in J, so no element has rank n: a proper quotient
             # needs no separate cap at n - 1
             assert ub <= p.arity - 1
-        if 0 < len(p) <= 12:
-            assert ub >= brute_force_sdepth(p.elements, p.g)
-            small += 1
-    assert small > 100
+        if i in small_sdepths:
+            assert ub >= small_sdepths[i]
+    assert len(small_sdepths) > 100
 
 
 def _is_up_closed_walk(poset):
@@ -169,12 +176,54 @@ def _is_up_closed_walk(poset):
     return True
 
 
-def test_is_up_closed_matches_successor_walk(oracle_posets):
-    outcomes = set()
-    for p in oracle_posets:
-        assert p.is_up_closed() == _is_up_closed_walk(p)
-        outcomes.add((len(p) > 0, p.is_up_closed()))
-    assert outcomes == {(True, True), (True, False), (False, True)}
+def test_target_one_is_decided_by_fibers(oracle_posets, small_sdepths):
+    """Target 1 costs no node and returns a partition exactly when the
+    sdepth is at least 1: by the saturation test when the box holds every
+    generator, by brute force on posets of at most 12 elements.  Each
+    partition passes the verifier at 1, and on up-closed posets it is the
+    last-axis fibers: a bottom is an element with no element one step below
+    it on the last axis, its top the last cell of its line."""
+    seen = {"feasible": 0, "infeasible": 0, "brute force": 0,
+            "up-closed": 0}
+    for i, p in enumerate(oracle_posets):
+        if len(p) == 0:
+            continue
+        stats = partitions.SearchStats()
+        partition = partitions.exists_partition(p, 1, stats=stats)
+        assert stats.nodes == 0
+        if all(divides_raw(gen, p.g) for gen in
+               p.numerator.generators + p.denominator.generators):
+            zero, _ = sdepth_zero_quotient(p.numerator, p.denominator)
+            assert (partition is None) == zero
+        if i in small_sdepths:
+            assert (partition is None) == (small_sdepths[i] == 0)
+            seen["brute force"] += 1
+        if partition is None:
+            seen["infeasible"] += 1
+            continue
+        seen["feasible"] += 1
+        assert verify_partition(p, partition, 1)
+        if _is_up_closed_walk(p):
+            dim = p.dims[-1]
+            element = dict(zip(p.codes, p.elements))
+            fibers = [(u, element[c - c % dim + dim - 1])
+                      for c, u in element.items()
+                      if c % dim == 0 or c - 1 not in element]
+            assert [(iv.bottom, iv.top) for iv in partition] == fibers
+            seen["up-closed"] += 1
+    assert min(seen.values()) > 300, seen
+
+
+def test_depth_zero_quotient_needs_no_search():
+    """S/J for J the cycle closure of x2 x3 x4^2, x1 x3 x4^2 and x2^2 x4^2
+    (10 generators, 40 elements) has depth 0, with x1 x2 x3 x4 in the
+    saturation of J.  Refuting target 1 by search took 415,035 nodes."""
+    gens = [(0, 1, 1, 2), (1, 0, 1, 2), (0, 2, 0, 2)]
+    ideal = minimalize([g[-j:] + g[:-j] for g in gens for j in range(4)], 4)
+    assert len(ideal.generators) == 10
+    cert = sdepth_quotient(unit_ideal(4), ideal, timeout_s=0.5)
+    assert (cert.s, len(cert.poset)) == (0, 40)
+    assert cert.stats.nodes < 100
 
 
 def _budget_feasible_oracle(poset, uncovered, s):
@@ -362,16 +411,18 @@ def test_orbit_search_matches_brute_force(n, gens, shift, kind):
 
 
 def test_exhausted_orbit_search_hands_over_to_the_plain_search():
-    """S/(x1 x2) is 1, x1, x2: the bottom 1 has tops x1 and x2 at target 1,
-    and each interval meets its image at 1, so the orbit search exhausts at
-    its root without a prune; the plain search then finds [1, x2], [x1, x1]."""
-    poset = build_poset(unit_ideal(2), minimalize([(1, 1)], 2))
+    """S/(x1 x2 x3) is the cube {0, 1}^3 without x1 x2 x3.  At target 2 the
+    bottom 1 has the tops x1 x2, x1 x3 and x2 x3, and each interval meets
+    its images at 1, so the orbit search exhausts at its root without a
+    prune; the plain search then finds a partition in 3 nodes."""
+    poset = build_poset(unit_ideal(3), minimalize([(1, 1, 1)], 3))
     assert partitions._get_searcher(poset).cycle is not None
     stats = partitions.SearchStats()
-    partition = partitions.exists_partition(poset, 1, stats=stats)
+    partition = partitions.exists_partition(poset, 2, stats=stats)
     assert [(iv.bottom, iv.top) for iv in partition] == [
-        ((0, 0), (0, 1)), ((1, 0), (1, 0))]
-    assert (stats.nodes, stats.prunes) == (1 + 2, 0)
+        ((0, 0, 0), (0, 1, 1)), ((1, 0, 0), (1, 0, 1)),
+        ((1, 1, 0), (1, 1, 0))]
+    assert (stats.nodes, stats.prunes) == (1 + 3, 0)
 
 
 def test_root_refutation_under_the_cycle_counts_one_node():

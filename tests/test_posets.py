@@ -161,12 +161,6 @@ def test_code_order_is_lex_and_bijective():
         assert p.position(u) == i
 
 
-def test_is_up_closed():
-    assert maximal_power_poset(3, 2).is_up_closed()
-    quotient = build_poset(unit_ideal(2), maximal_power(2, 1))
-    assert not quotient.is_up_closed()
-
-
 def test_dump_format():
     p = maximal_power_poset(2, 1)
     lines = p.dump().splitlines()
