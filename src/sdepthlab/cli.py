@@ -511,6 +511,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory (the input's box or check cube is too "
+              "large for this machine)", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -94,7 +94,7 @@ masks, and finds the minimal uncovered elements by shifts:
   both searches; the failed memo holds states with no invariant
   completion, so it is kept per search.  An exhausted orbit search proves
   nothing, as a partition need not be invariant, so the plain search, the
-  identity permutation, follows it on the budget left.
+  identity permutation, follows it on the same deadline.
 
 Target 0 is met by singletons, and target 1 is decided both ways by a
 construction, so the backtracker runs only at s >= 2:
@@ -253,7 +253,8 @@ def _cells(mask: int):
 
 
 class _Searcher:
-    """Per-poset bitmask machinery shared by all decision calls.
+    """Per-poset bitmask machinery shared by all decision calls;
+    `partition` settles one target on a deadline.
 
     Masks are over sub-box cell codes (module docstring).  The set-up keeps
     no mask per element: shapes are cached by code difference when first
@@ -437,7 +438,7 @@ class _Searcher:
             a, b = cycle(a), cycle(b)
         return placed, pairs
 
-    def decide(self, s: int, timeout_s: float, stats: SearchStats,
+    def decide(self, s: int, deadline: float, stats: SearchStats,
                cycle=None) -> list[tuple[int, int]] | None:
         """Exhaustive search for a full cover with all tops of rank >= s,
         among the partitions that the cell permutation `cycle` fixes, or
@@ -445,7 +446,8 @@ class _Searcher:
         search").  Returns (bottom, top) cell-code pairs or None if none
         exists.  Each node branches on the bottom that `branch_bottom`
         returns with the prune's verdict, and each top places the orbit of
-        its interval.
+        its interval.  SearchTimeout once `time.monotonic()` passes
+        `deadline`.
 
         Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
         once it is full it takes no more states.  The memo only spares
@@ -457,7 +459,6 @@ class _Searcher:
         RSS by about 90 MB in 40 s on m with n = 12.  The memo is consulted
         before the prune, which changes no counter (module docstring).
         """
-        deadline = time.monotonic() + timeout_s
         failed: set[int] = set()
         # bytes per entry: no mask is larger than the full one, plus 64 for
         # its 16-byte set slot in a table at least a quarter full
@@ -501,9 +502,6 @@ class _Searcher:
         chosen.reverse()
         return chosen
 
-    def singleton_partition(self) -> list[tuple[int, int]]:
-        return [(c, c) for c in self.codes]
-
     def fiber_partition(self) -> list[tuple[int, int]] | None:
         """A partition with every top of rank >= 1, or None when there is
         none: from the last axis to the first, the elements left whose
@@ -518,6 +516,28 @@ class _Searcher:
             out += ((c, c + (dim - 1 - c // stride % dim) * stride) for c in
                     _cells(reach & ~((reach & ~ceiling) << stride)))
         return None if rest else out
+
+    def partition(self, s: int, deadline: float,
+                  stats: SearchStats) -> IntervalPartition | None:
+        """A partition with every top of rank >= s, or None when there is
+        none: singletons at s = 0, fibers at s = 1, and above that the
+        orbit search, then the plain search on the same deadline unless
+        the counting prune refutes the root (module docstring, "Invariant
+        search").  An empty poset gets the empty partition."""
+        if s == 0:
+            pairs = [(c, c) for c in self.codes]
+        elif s == 1:
+            pairs = self.fiber_partition()
+        else:
+            pairs = self.decide(s, deadline, stats, self.cycle)
+            if (pairs is None and self.cycle is not None
+                    and self.branch_bottom(self.full_mask, s) is not None):
+                pairs = self.decide(s, deadline, stats)
+        if pairs is None:
+            return None
+        element = dict(zip(self.codes, self.poset.elements))
+        return IntervalPartition(tuple(
+            Interval(element[u], element[v]) for u, v in pairs))
 
     def intrinsic_upper_bound(self) -> int:
         """Largest s any partition could reach: each minimal poset element
@@ -539,14 +559,6 @@ def _get_searcher(poset: CharPoset) -> _Searcher:
     return searcher
 
 
-def _pairs_to_partition(poset: CharPoset,
-                        pairs: list[tuple[int, int]]) -> IntervalPartition:
-    """Map (bottom, top) cell-code pairs back to monomials."""
-    element = dict(zip(poset.codes, poset.elements))
-    return IntervalPartition(tuple(
-        Interval(element[u], element[v]) for u, v in pairs))
-
-
 def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
                      stats: SearchStats | None = None) -> IntervalPartition | None:
     """Exact decision: a partition with every top of rank >= s, or None.
@@ -561,25 +573,8 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
         stats = SearchStats()
     if timeout_s <= 0:
         raise SearchTimeout(f"time ran out with target {s} open", stats)
-    searcher = _get_searcher(poset)
-    if searcher.m == 0:
-        return IntervalPartition(())
-    if s == 0:
-        pairs = searcher.singleton_partition()
-    elif s == 1:
-        pairs = searcher.fiber_partition()
-    else:
-        start, nodes, prunes = time.monotonic(), stats.nodes, stats.prunes
-        pairs = searcher.decide(s, timeout_s, stats, searcher.cycle)
-        # an exhausted orbit search proves nothing, unless the counting
-        # prune cut its root, which refutes every completion
-        root_refuted = stats.nodes - nodes == 1 == stats.prunes - prunes
-        if pairs is None and searcher.cycle is not None and not root_refuted:
-            pairs = searcher.decide(
-                s, timeout_s - (time.monotonic() - start), stats)
-    if pairs is None:
-        return None
-    return _pairs_to_partition(poset, pairs)
+    return _get_searcher(poset).partition(s, time.monotonic() + timeout_s,
+                                          stats)
 
 
 def verify_partition(poset: CharPoset, partition: IntervalPartition,
@@ -654,22 +649,21 @@ def sdepth_poset(poset: CharPoset, *,
     variables) the counting prune refutes each target above
     ceil(n/(k+1)) at the root, in one node.
 
-    `timeout_s` bounds the whole scan: each decision gets only the time
-    left by the ones before it, and SearchTimeout names the open target
-    and carries the counters of every target of the scan.
-    `sdepth_quotient` passes what the poset build and the search set-up
-    left of its budget.
+    `timeout_s` bounds the whole scan, the search set-up and the upper
+    bound included: each decision gets only the time left before one
+    deadline, and SearchTimeout names the open target and carries the
+    counters of every target of the scan.  `sdepth_quotient` passes what
+    the poset build left of its budget.
     """
+    deadline = time.monotonic() + timeout_s
     if len(poset) == 0:
         raise ValueError("the poset is empty (the quotient module is zero)")
-    start = time.monotonic()
     total = SearchStats()
-    remaining = timeout_s
     for s in range(_get_searcher(poset).intrinsic_upper_bound(), -1, -1):
         stats = SearchStats()
         try:
-            partition = exists_partition(poset, s, timeout_s=remaining,
-                                         stats=stats)
+            partition = exists_partition(
+                poset, s, timeout_s=deadline - time.monotonic(), stats=stats)
         except SearchTimeout as exc:
             exc.stats = total  # the whole scan: `finally` adds this target
             raise
@@ -677,7 +671,6 @@ def sdepth_poset(poset: CharPoset, *,
             total.merge(stats)
         if partition is not None:
             break
-        remaining = timeout_s - (time.monotonic() - start)
     else:
         raise AssertionError("target 0 is always feasible on a nonempty poset")
     check = verify_certificate(poset, partition, s)
@@ -699,12 +692,11 @@ def sdepth_quotient(numerator: MonomialIdeal, denominator: MonomialIdeal, *,
                     g: Monomial | None = None,
                     timeout_s: float = 60.0) -> SdepthCertificate:
     """Stanley depth of I/J (S/I when the numerator is the unit ideal).
-    The clock starts before the poset build, so `timeout_s` bounds the
+    The deadline is set before the poset build, so `timeout_s` bounds the
     build and the search set-up too."""
-    start = time.monotonic()
+    deadline = time.monotonic() + timeout_s
     poset = build_poset(numerator, denominator, g)
-    _get_searcher(poset)
-    return sdepth_poset(poset, timeout_s=timeout_s - (time.monotonic() - start))
+    return sdepth_poset(poset, timeout_s=deadline - time.monotonic())
 
 
 def to_stanley_decomposition(poset: CharPoset,

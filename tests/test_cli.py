@@ -387,6 +387,19 @@ def test_box_too_large_to_index_exits_2(tmp_path, capsys):
     assert "sdepth = 5" in capsys.readouterr().out
 
 
+def test_out_of_memory_exits_2(m5_file, monkeypatch, capsys):
+    """A MemoryError, say from a poset build over a box of 10^10 cells,
+    is an input error with one line, not a traceback with exit 1.  The
+    test raises it in place of allocating for real."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sdepth_ideal", exhausted)
+    assert main(["sdepth", "--input", m5_file]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
+
+
 def test_determinism_of_documents(tmp_path, m5_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["sdepth", "--input", m5_file, "--out", str(a)]) == 0

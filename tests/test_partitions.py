@@ -240,7 +240,7 @@ def test_scan_shares_one_budget(monkeypatch):
     cert = sdepth_poset(maximal_power_poset(5, 1), timeout_s=30.0)
     assert cert.s == 3
     assert len(given) == 3  # targets 5 and 4 refuted, 3 found
-    assert given[0] == 30.0
+    assert given[0] < 30.0  # the search set-up and the bound are charged
     assert all(a >= b for a, b in zip(given, given[1:]))
     assert given[-1] < 30.0  # later decisions do not restart the clock
 
@@ -263,6 +263,23 @@ def test_budget_covers_the_poset_build(monkeypatch, solve, target):
     monkeypatch.setattr(partitions, "build_poset", slow_build)
     with pytest.raises(SearchTimeout, match=f"target {target} open"):
         solve()
+
+
+def test_scan_charges_the_search_set_up_and_the_bound(monkeypatch):
+    """The scan's one deadline is set on entry, so an upper bound that
+    takes longer than the budget leaves the first target none: it is
+    open before any node is searched."""
+    original = partitions._Searcher.intrinsic_upper_bound
+
+    def slow_bound(self):
+        time.sleep(0.3)
+        return original(self)
+
+    monkeypatch.setattr(partitions._Searcher, "intrinsic_upper_bound",
+                        slow_bound)
+    with pytest.raises(SearchTimeout, match="target 4 open") as info:
+        sdepth_poset(maximal_power_poset(4, 1), timeout_s=0.2)
+    assert (info.value.stats.nodes, info.value.stats.prunes) == (0, 0)
 
 
 def test_no_budget_left_settles_no_target(monkeypatch):

@@ -7,8 +7,10 @@ in place: `partitions.build_poset`, looked up at call time by
 tracer calls to force the search set-up; and `partitions.exists_partition`,
 called with its budget and stats by keyword.  The partitions.verify span
 needs `verify_certificate` to reach `partitions.verify_partition` by its
-module name.  The package metadata must name the engine version."""
+module name.  The package metadata must name the engine version, and the
+sources must parse as the oldest Python the metadata allows."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -16,7 +18,8 @@ from pathlib import Path
 from sdepthlab import ENGINE_VERSION
 from sdepthlab.cli import main
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracer_class():
@@ -45,8 +48,20 @@ def test_package_version_is_the_engine_version():
     """pyproject.toml and ENGINE_VERSION name the same release.  A regex
     reads the file, as tomllib needs Python 3.11 and the package allows
     3.10."""
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
-        encoding="utf-8")
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [
         ENGINE_VERSION]
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml allows Python 3.10, while the tests run on a newer
+    one: syntax added after 3.10, such as `except*`, must not creep in."""
+    assert re.search(r'^requires-python = ">=3\.10"$',
+                     (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+                     re.M)
+    sources = sorted((ROOT / "src" / "sdepthlab").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
