@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -232,13 +233,16 @@ def certificate_document(cert: SdepthCertificate) -> dict:
 # One scalar or string key to JSON text by the C encoder; json.dumps with an
 # indent would take the pure-Python encoder for the whole document.
 _encode_scalar = json.JSONEncoder().encode
+_INT, _LIST = {int}, {list}
 
 
 def _json_text(value, indent: str) -> str:
     """`value` as `json.dumps(value, indent=2)` writes it, nested under
     `indent`, for documents of dicts with string keys, lists and scalars.
     A list of plain ints is one join: an int is its own repr in JSON, and
-    the type test leaves out bools, which JSON spells in lower case."""
+    the type test leaves out bools, which JSON spells in lower case.  A
+    list of nonempty lists of plain ints, such as an interval of a
+    certificate, is one join per inner list."""
     if isinstance(value, dict) and value:
         inner = indent + "  "
         body = (",\n" + inner).join(
@@ -247,8 +251,15 @@ def _json_text(value, indent: str) -> str:
         return "{\n" + inner + body + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
         inner = indent + "  "
-        if all(type(item) is int for item in value):
+        types = set(map(type, value))
+        if types == _INT:
             body = (",\n" + inner).join(map(repr, value))
+        elif (types == _LIST and all(value)
+              and set(map(type, itertools.chain.from_iterable(value))) == _INT):
+            sep = ",\n" + inner + "  "
+            body = (",\n" + inner).join([
+                "[" + sep[1:] + sep.join(map(repr, item)) + "\n" + inner + "]"
+                for item in value])
         else:
             body = (",\n" + inner).join(
                 _json_text(item, inner) for item in value)

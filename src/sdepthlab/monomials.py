@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 Monomial = tuple[int, ...]
@@ -102,11 +103,19 @@ class MonomialIdeal:
 
 
 def minimal_antichain(gens, arity: int) -> tuple[Monomial, ...]:
-    """Reduce a generator collection to its divisibility-minimal antichain."""
+    """Reduce a generator collection to its divisibility-minimal antichain.
+    The pool is a set in degree order, so each monomial is compared only
+    with the kept generators of lower degree: two monomials of equal degree
+    divide each other only when they are equal.  All have the same arity
+    by `as_monomial`, so the test needs no arity check."""
     pool = sorted({as_monomial(g, arity) for g in gens}, key=degrevlex_key)
     kept: list[Monomial] = []
+    lower: list[Monomial] = []
+    degree = None
     for g in pool:
-        if not any(divides(h, g) for h in kept):
+        if sum(g) != degree:
+            degree, lower = sum(g), kept[:]
+        if not any(all(map(operator.le, h, g)) for h in lower):
             kept.append(g)
     return tuple(kept)
 

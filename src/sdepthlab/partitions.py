@@ -84,10 +84,11 @@ masks, and finds the minimal uncovered elements by shifts:
   first looks only for partitions that sigma fixes (Kramer and Mesner,
   Discrete Math. 15 (1976) 263-296).  Each branch at bottom w and top v
   places the whole orbit of [w, v]: the images [sigma^j w, sigma^j v],
-  each of which must be uncovered, and any two of which must be equal or
-  disjoint.  An invariant partition is a partition, and the certificate
-  check re-checks it like any other.  The uncovered set stays invariant,
-  as it loses whole orbits, and the bottom is minimal in it, so the
+  any two of which must be equal or disjoint ("Orbit overlap" below says
+  which tops pass).  An invariant partition is a partition, and the
+  certificate check re-checks it like any other.  The uncovered set stays
+  invariant, as it loses whole orbits, so once [w, v] is uncovered each of
+  its images is too.  The bottom is minimal in the uncovered set, so the
   interval that covers it in an invariant completion starts at it and
   trying every top covers all invariant completions.  The counting prune
   refutes every completion, so a prune at the root settles the target for
@@ -95,6 +96,24 @@ masks, and finds the minimal uncovered elements by shifts:
   completion, so it is kept per search.  An exhausted orbit search proves
   nothing, as a partition need not be invariant, so the plain search, the
   identity permutation, follows it on the same deadline.
+
+  Orbit overlap.  For elements w | v and tau = sigma^j, the intervals
+  [w, v] and [tau w, tau v] share a cell iff tau w | v and tau^-1 w | v.
+  A shared cell x has tau w | x | v, and w | x | tau v, so tau^-1 w | v.
+  Conversely, w and tau w both divide v, and both divide tau v (w does as
+  tau^-1 w | v, tau w does as w | v), so lcm(w, tau w) divides gcd(v,
+  tau v); it lies between w and v, so it is an element by convexity, and
+  it lies in both intervals.  Let p be the period of w under sigma (p
+  divides n).  Two images j apart meet as [w, v] and its j-th image do,
+  applying a power of sigma to both.  For j a multiple of p they share
+  the bottom w, so they must be equal: sigma^p must fix v.  For the other
+  j their bottoms differ, so they must be disjoint.  Once sigma^p fixes w
+  and v, the image at p - j is the image at -j, which meets [w, v] iff
+  the image at j does (apply sigma^j to both), so j = 1 ... p // 2
+  suffice.  So the orbit search tries at bottom w only the multiples of w
+  outside multiples(sigma^j w) & multiples(sigma^-j w) for those j, and,
+  when p < n, only those that sigma^p fixes.  Every top it tries then
+  places its orbit with no test beyond the fit of [w, v] itself.
 
 Target 0 is met by singletons, and target 1 is decided both ways by a
 construction, so the backtracker runs only at s >= 2:
@@ -252,6 +271,13 @@ def _cells(mask: int):
         mask ^= low
 
 
+def _power(permutation, c: int, k: int) -> int:
+    """The image of c under the k-th power of `permutation`."""
+    for _ in range(k):
+        c = permutation(c)
+    return c
+
+
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls;
     `partition` settles one target on a deadline.
@@ -311,7 +337,8 @@ class _Searcher:
             self.passes += axis_passes
             self.steps += axis_passes[:1]
             self.lines.append((stride, dim, ceiling, axis_passes))
-        self._candidates_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._candidates_cache: dict[tuple[int, int, bool],
+                                     list[tuple[int, int]]] = {}
         self.cycle = self._variable_cycle()
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
 
@@ -355,14 +382,29 @@ class _Searcher:
         """The elements one step above c: one shift of its bit per axis."""
         return sum((1 << c & keep) << shift for shift, keep in self.steps)
 
-    def _candidates(self, c: int, s: int) -> list[tuple[int, int]]:
+    def _candidates(self, c: int, s: int, cycle=None) -> list[tuple[int, int]]:
         """Tops of the intervals at bottom c with rank >= s, in decreasing
-        degree, then lex order, each with the shape of its interval."""
-        key = (c, s)
+        degree, then lex order, each with the shape of its interval.  Under
+        the cell permutation `cycle`, only the tops whose images are equal
+        or disjoint (module docstring, "Orbit overlap"); those lists are
+        cached apart."""
+        key = (c, s, cycle is None)
         cached = self._candidates_cache.get(key)
         if cached is None:
-            tops = sorted(_cells(self.multiples(c) & ~self.rank_below[s]),
-                          key=self.deg.__getitem__, reverse=True)  # stable: lex
+            tops = self.multiples(c) & ~self.rank_below[s]
+            period = self.poset.arity
+            if cycle is not None:
+                images = [c]  # images[j] = sigma^j c, for 0 <= j < period
+                while (image := cycle(images[-1])) != c:
+                    images.append(image)
+                period = len(images)
+                for j in range(1, period // 2 + 1):
+                    tops &= ~(self.multiples(images[j])
+                              & self.multiples(images[-j]))
+            tops = sorted(_cells(tops), key=self.deg.__getitem__,
+                          reverse=True)  # stable: lex
+            if period < self.poset.arity:
+                tops = [v for v in tops if _power(cycle, v, period) == v]
             get = self._shapes.get  # a shape is never 0: `or` only on a miss
             cached = [(v, get(v - c) or self.shape(v - c)) for v in tops]
             self._candidates_cache[key] = cached
@@ -420,20 +462,20 @@ class _Searcher:
                 return None
         return best
 
-    def orbit(self, w: int, v: int, placed: int, uncovered: int,
-              cycle) -> tuple[int, list[tuple[int, int]]] | None:
+    def orbit(self, w: int, v: int, placed: int,
+              cycle) -> tuple[int, list[tuple[int, int]]]:
         """The union of the images [sigma^j w, sigma^j v] and their (bottom,
-        top) pairs, given `placed`, the mask of [w, v] itself; None when an
-        image is not uncovered or meets another image without being it.
-        Two images are the same interval iff they have the same bottom and
-        top, so the walk stops when the pair comes back to (w, v)."""
+        top) pairs, given `placed`, the mask of [w, v] itself, for a top v
+        of the orbit candidates of w whose interval is uncovered.  Every
+        image is then uncovered, as the uncovered set is invariant, and
+        any two images are equal or disjoint (module docstring, "Orbit
+        overlap"), so nothing is tested.  Those candidates keep only tops
+        that sigma^p fixes, p the period of w, so the walk stops when the
+        bottom comes back to w."""
         pairs = [(w, v)]
         a, b = cycle(w), cycle(v)
-        while a != w or b != v:
-            image = self.shape(b - a) << a
-            if image & uncovered != image or image & placed:
-                return None
-            placed |= image
+        while a != w:
+            placed |= self.shape(b - a) << a
             pairs.append((a, b))
             a, b = cycle(a), cycle(b)
         return placed, pairs
@@ -479,15 +521,12 @@ class _Searcher:
                 return None
             # [w, v] is shape << w, which fits iff uncovered >> w holds shape
             free = uncovered >> w
-            for v, shape in self._candidates(w, s):
+            for v, shape in self._candidates(w, s, cycle):
                 if free & shape != shape:
                     continue
                 placed, pairs = shape << w, ((w, v),)
                 if cycle is not None:
-                    orbit = self.orbit(w, v, placed, uncovered, cycle)
-                    if orbit is None:
-                        continue
-                    placed, pairs = orbit
+                    placed, pairs = self.orbit(w, v, placed, cycle)
                 rest = rec(uncovered ^ placed)
                 if rest is not None:
                     rest.extend(reversed(pairs))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import sdepthlab
 from sdepthlab import cli
 from sdepthlab.cli import _ideal_hash, build_parser, main
 from sdepthlab.formats import ideal_to_structured, parse_ideal
+from sdepthlab.monomials import maximal_power, minimalize, unit_ideal
 
 
 def _write(path, text):
@@ -287,6 +289,29 @@ _json_documents = st.recursive(
 @given(_json_documents)
 def test_document_writer_matches_json_dumps(document):
     assert cli._json_text(document, "") == json.dumps(document, indent=2)
+
+
+@pytest.mark.parametrize("command, ideals, digest", [
+    ("sdepth", (maximal_power(8, 1),),
+     "044f4e71f24912711d387a5f197cc651fc156084ef57821024abbe517bfe3a1b"),
+    ("sdepth", (maximal_power(6, 2),),
+     "409ddc5081b551c3dc657ed0a707b918ade0cc00b601086252daa8cd91c9e3a2"),
+    ("quotient", (unit_ideal(5), minimalize(
+        [(0, 2, 0, 1, 0), (1, 1, 2, 0, 0), (2, 2, 1, 0, 1)], 5)),
+     "6745b6a36ab204a17510f1f736cfe4c50bbebff6127fdd55a5918cb2b51c820f"),
+], ids=["m-n8", "m2-n6", "midhard-S/I"])
+def test_certificate_documents_are_pinned(tmp_path, capsys, command, ideals,
+                                          digest):
+    """The certificate text, byte for byte: any change of the search, of the
+    partition it finds or of the writer shows here."""
+    flags = []
+    for flag, ideal in zip(("--input", "--input-j"), ideals):
+        path = tmp_path / f"{flag[2:]}.json"
+        flags += [flag, _write(path, json.dumps(ideal_to_structured(ideal)))]
+    out = tmp_path / "certificate.json"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_timeout_exit_code(tmp_path, capsys):

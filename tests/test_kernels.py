@@ -380,14 +380,9 @@ _cyclic_gens = st.lists(
     st.tuples(*(st.integers(0, 2),) * 4), min_size=1, max_size=3)
 
 
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(2, 4), gens=_cyclic_gens, shift=_cyclic_gens,
-       kind=st.sampled_from(["I", "S/J", "I/J"]))
-def test_orbit_search_matches_brute_force(n, gens, shift, kind):
-    """Ideals and quotients that the variable cycle fixes, made by closing
-    random generators under it, against the oracle that maximizes over all
-    partitions: the orbit search, with the plain search after it when it
-    exhausts, finds the same value."""
+def _cyclic_quotient(n, gens, shift, kind):
+    """An ideal (I), S/J or I/J that the variable cycle fixes, made by
+    closing random generators under it."""
     gens = _cycle_closure([g[:n] for g in gens], n)
     if kind == "I":
         num_gens, den_gens = gens, []
@@ -398,7 +393,17 @@ def test_orbit_search_matches_brute_force(n, gens, shift, kind):
         den_gens = [tuple(a + b for a, b in zip(g, t))
                     for g in gens
                     for t in _cycle_closure([t[:n] for t in shift], n)]
-    num, den = minimalize(num_gens, n), minimalize(den_gens, n)
+    return minimalize(num_gens, n), minimalize(den_gens, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 4), gens=_cyclic_gens, shift=_cyclic_gens,
+       kind=st.sampled_from(["I", "S/J", "I/J"]))
+def test_orbit_search_matches_brute_force(n, gens, shift, kind):
+    """Ideals and quotients that the variable cycle fixes, against the
+    oracle that maximizes over all partitions: the orbit search, with the
+    plain search after it when it exhausts, finds the same value."""
+    num, den = _cyclic_quotient(n, gens, shift, kind)
     box = tuple(max(g[j] for g in num.generators + den.generators)
                 for j in range(n))
     elements = [u for u in itertools.product(*(range(e + 1) for e in box))
@@ -409,6 +414,57 @@ def test_orbit_search_matches_brute_force(n, gens, shift, kind):
     assert cert.s == brute_force_sdepth(elements, box)
     cycle = partitions._get_searcher(cert.poset).cycle
     assert (cycle is not None) == (cert.poset.dims[0] > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), gens=_cyclic_gens, shift=_cyclic_gens,
+       kind=st.sampled_from(["I", "S/J", "I/J"]))
+def test_orbit_candidates_are_the_tops_whose_images_never_overlap(
+        n, gens, shift, kind):
+    """The "Orbit overlap" lemma: at every bottom and target, the orbit
+    search's tops are the plain search's tops, in their order, whose n
+    images are equal or pairwise disjoint.  The oracle enumerates each
+    image as a box of exponent tuples."""
+    poset = build_poset(*_cyclic_quotient(n, gens, shift, kind))
+    assume(0 < len(poset) <= 40)
+    searcher = partitions._get_searcher(poset)
+    assume(searcher.cycle is not None)
+    element = dict(zip(poset.codes, poset.elements))
+
+    def image_boxes(w, v):
+        return {frozenset(itertools.product(*map(
+                    range, w[-j:] + w[:-j], (e + 1 for e in v[-j:] + v[:-j]))))
+                for j in range(n)}
+
+    valid = set()
+    for w, v in itertools.product(poset.elements, repeat=2):
+        if divides_raw(w, v):
+            boxes = image_boxes(w, v)
+            if all(not a & b for a, b in itertools.combinations(boxes, 2)):
+                valid.add((w, v))
+    for c in poset.codes:
+        for s in range(n + 1):
+            plain = [v for v, _ in searcher._candidates(c, s)]
+            orbit = [v for v, _ in searcher._candidates(c, s, searcher.cycle)]
+            assert orbit == [v for v in plain
+                             if (element[c], element[v]) in valid]
+
+
+def test_orbit_walks_only_the_tops_it_places(monkeypatch):
+    """m in 10 variables at target 5: the orbit search places 10 orbits in
+    10 nodes and walks no other orbit."""
+    walks = []
+    original = partitions._Searcher.orbit
+
+    def counting(self, *args):
+        walks.append(args[:2])
+        return original(self, *args)
+
+    monkeypatch.setattr(partitions._Searcher, "orbit", counting)
+    stats = partitions.SearchStats()
+    poset = build_poset(maximal_power(10, 1))
+    assert partitions.exists_partition(poset, 5, stats=stats) is not None
+    assert (len(walks), stats.nodes, stats.prunes) == (10, 10, 0)
 
 
 def test_exhausted_orbit_search_hands_over_to_the_plain_search():
@@ -458,7 +514,10 @@ def _digest(cert) -> str:
      "2e92d260af51bb08"),
     (lambda: sdepth_ideal(M8_SKEW[0], g=M8_SKEW[1]), 4, 80, 57,
      "8f965348eb579d30"),
-], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I", "m-n11", "m-n8-skew-g"])
+    (lambda: sdepth_ideal(maximal_power(5, 3)), 2, 550, 219,
+     "e320c3b4d312f94a"),
+], ids=["m-n8", "m2-n5", "m2-n6", "midhard-S/I", "m-n11", "m-n8-skew-g",
+        "m3-n5"])
 def test_search_is_deterministic(solve, s, nodes, prunes, digest):
     """Node and prune counts do not depend on the machine: any change of the
     search order, the prunes or the memo shows here, as does any other

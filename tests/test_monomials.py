@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import brute_force_saturation_members, member_of_ideal
 from sdepthlab import (
@@ -27,6 +29,7 @@ from sdepthlab import (
     unit_ideal,
     zero_ideal,
 )
+from sdepthlab.monomials import degrevlex_key, minimal_antichain
 
 
 def test_divides():
@@ -72,6 +75,23 @@ def test_minimalize_is_antichain_and_idempotent():
         for u, v in itertools.combinations(ideal.generators, 2):
             assert not divides(u, v) and not divides(v, u)
         assert minimalize(ideal.generators, n) == ideal
+
+
+def _quadratic_antichain(gens):
+    """The minimal generators by definition: the distinct monomials that no
+    other one divides, in ascending degrevlex order."""
+    pool = set(gens)
+    kept = [g for g in pool
+            if not any(h != g and divides(h, g) for h in pool)]
+    return tuple(sorted(kept, key=degrevlex_key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*(st.integers(0, 3),) * n), max_size=12))))
+def test_minimal_antichain_matches_the_quadratic_definition(case):
+    n, gens = case
+    assert minimal_antichain(gens, n) == _quadratic_antichain(gens)
 
 
 def test_ideal_equality_is_canonical():
