@@ -236,13 +236,29 @@ _encode_scalar = json.JSONEncoder().encode
 _INT, _LIST = {int}, {list}
 
 
+def _int_lists(value, depth: int, indent: str) -> str:
+    """`_json_text` of a list nested `depth` lists deep, every list
+    nonempty and every leaf a plain int: one join per int list, as an int
+    is its own repr in JSON, and one call per list of int lists."""
+    inner = indent + "  "
+    if depth > 1:
+        items = [_int_lists(item, depth - 1, inner) for item in value]
+    elif depth:
+        sep = ",\n" + inner + "  "
+        items = ["[" + sep[1:] + sep.join(map(repr, item)) + "\n" + inner + "]"
+                 for item in value]
+    else:
+        items = map(repr, value)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def _json_text(value, indent: str) -> str:
     """`value` as `json.dumps(value, indent=2)` writes it, nested under
     `indent`, for documents of dicts with string keys, lists and scalars.
-    A list of plain ints is one join: an int is its own repr in JSON, and
-    the type test leaves out bools, which JSON spells in lower case.  A
-    list of nonempty lists of plain ints, such as an interval of a
-    certificate, is one join per inner list."""
+    A nest of nonempty lists with plain ints at the bottom, such as the
+    intervals of a certificate, takes one type test per depth for the
+    whole nest and then `_int_lists`; the type test leaves out bools,
+    which JSON spells in lower case."""
     if isinstance(value, dict) and value:
         inner = indent + "  "
         body = (",\n" + inner).join(
@@ -250,19 +266,15 @@ def _json_text(value, indent: str) -> str:
             for key, item in value.items())
         return "{\n" + inner + body + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        types = set(map(type, value))
+        depth, level = 0, value
+        while (types := set(map(type, level))) == _LIST and all(level):
+            level = list(itertools.chain.from_iterable(level))
+            depth += 1
         if types == _INT:
-            body = (",\n" + inner).join(map(repr, value))
-        elif (types == _LIST and all(value)
-              and set(map(type, itertools.chain.from_iterable(value))) == _INT):
-            sep = ",\n" + inner + "  "
-            body = (",\n" + inner).join([
-                "[" + sep[1:] + sep.join(map(repr, item)) + "\n" + inner + "]"
-                for item in value])
-        else:
-            body = (",\n" + inner).join(
-                _json_text(item, inner) for item in value)
+            return _int_lists(value, depth, indent)
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            _json_text(item, inner) for item in value)
         return "[\n" + inner + body + "\n" + indent + "]"
     return _encode_scalar(value)
 

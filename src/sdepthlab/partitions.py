@@ -72,6 +72,17 @@ masks, and finds the minimal uncovered elements by shifts:
   whether a state can be completed does not depend on the path that
   reached it.
 
+  Ranks by ceilings.  The rank of a cell counts the axes on whose ceiling
+  it lies, and the ceiling cells of each axis are one periodic mask.  So
+  the rank classes take one step per axis: with R_r the elements on
+  exactly r of the ceilings so far, ceiling C makes the new R_r equal to
+  R_r & ~C | R_(r-1) & C.  The need s - rho(c) is read off the classes
+  as a table with one byte per cell: each class spread to one byte per
+  bit, times n - r, summed, holds n - rho(c) at byte c.  That corank fits
+  a byte on every poset, so no sum carries into the next byte: a one-cell
+  axis puts every cell on its ceiling, and at most 62 axes have two cells
+  or more, as the sub-box has at most sys.maxsize cells.
+
   Memo before prune.  The search consults its failed-state memo before
   the prune.  A state enters the memo only after it passed the prune at
   the same target, and the prune is a function of the state and the
@@ -115,6 +126,18 @@ masks, and finds the minimal uncovered elements by shifts:
   when p < n, only those that sigma^p fixes.  Every top it tries then
   places its orbit with no test beyond the fit of [w, v] itself.
 
+  Orbit walk.  In the orbit search the uncovered set U is invariant, and
+  so is the walk of the counting prune, the minimal elements of U &
+  rank<s, as sigma keeps divisibility and rank.  The members of an orbit
+  have the same need, as sigma keeps rank, the same degree, and the same
+  slack, as sigma maps the uncovered covers of c onto those of sigma c.
+  So the walk scores each orbit once, at its lowest code, and adds its
+  need once per member to the level check, whose sums are then those of
+  the walk over every element.  A member has negative slack iff the
+  lowest one does, so the prune verdict is the same.  The lowest code of
+  an orbit comes first in ascending order, and the other members tie with
+  it on slack and degree and lose on code, so the bottom is the same.
+
 Target 0 is met by singletons, and target 1 is decided both ways by a
 construction, so the backtracker runs only at s >= 2:
 
@@ -148,6 +171,7 @@ enumerates each interval's box itself, before it is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import sys
@@ -263,6 +287,16 @@ def _class_masks(classes: dict[int, int], size: int) -> list[int]:
     return masks
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _lanes(mask: int) -> int:
+    """`mask` spread to one byte per bit: byte c of the result is bit c of
+    `mask`, by the C loops of bin, translate and from_bytes."""
+    return int.from_bytes(bin(mask)[:1:-1].encode().translate(_BIT_BYTES),
+                          "little")
+
+
 def _cells(mask: int):
     """The cell codes of the set bits of `mask`, lowest first."""
     while mask:
@@ -271,29 +305,25 @@ def _cells(mask: int):
         mask ^= low
 
 
-def _power(permutation, c: int, k: int) -> int:
-    """The image of c under the k-th power of `permutation`."""
-    for _ in range(k):
-        c = permutation(c)
-    return c
-
-
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls;
     `partition` settles one target on a deadline.
 
     Masks are over sub-box cell codes (module docstring).  The set-up keeps
     no mask per element: shapes are cached by code difference when first
-    used, covers when the counting prune first walks an element.  Level and
+    used, covers and orbits when the counting prune first walks an
+    element, and the cells that sigma^p fixes per period p.  Level and
     rank masks let the counting prune count by popcount and the candidates
-    filter by rank.  `passes` holds the (shift, keep) pairs of the doubling
-    passes of the up-closure, `keep` the cells that the shift moves to an
-    element without carrying past the ceiling of its axis, and `steps` the
-    single-step pass of each axis, for `minimal` and `covers`.  `lines`
-    holds the stride, side, ceiling cells and passes of each axis, for
-    `fiber_partition`.  `cycle` is the action of the variable cycle on
-    cell codes when it fixes the input and moves some cell, else None
-    (module docstring, "Invariant search").
+    filter by rank and run in level order; the rank masks and the `corank`
+    table, n - rho by cell code, come from the ceiling masks with no loop
+    over elements ("Ranks by ceilings").  `passes` holds the (shift, keep)
+    pairs of the doubling passes of the up-closure, `keep` the cells that
+    the shift moves to an element without carrying past the ceiling of its
+    axis, and `steps` the single-step pass of each axis, for `minimal` and
+    `covers`.  `lines` holds the stride, side, ceiling cells and passes of
+    each axis, for `fiber_partition`.  `cycle` is the action of the
+    variable cycle on cell codes when it fixes the input and moves some
+    cell, else None (module docstring, "Invariant search").
     """
 
     def __init__(self, poset: CharPoset):
@@ -301,17 +331,15 @@ class _Searcher:
         self.codes = poset.codes
         self.m = len(self.codes)
         self.deg = dict(zip(self.codes, map(sum, poset.elements)))
-        self.rho = {c: sum(map(operator.eq, u, poset.g))
-                    for c, u in zip(self.codes, poset.elements)}
-        # level[d]: elements of degree d; rank_below[s]: elements of rank < s
+        # level[d]: elements of degree d
         self.level = _class_masks(self.deg, sum(poset.g) + 2)
-        self.rank_below = list(itertools.accumulate(
-            _class_masks(self.rho, poset.arity + 1), operator.or_, initial=0))
-        self.full_mask = self.rank_below[-1]
+        self.full_mask = functools.reduce(operator.or_, self.level)
         self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
         self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
         self._shapes = {0: 1}
         self._covers: dict[int, int] = {}
+        self._orbits: dict[int, tuple[int, int]] = {}
+        self._fixed: dict[int, int] = {}
         width = self.full_mask.bit_length()
         self.steps: list[tuple[int, int]] = []
         self.passes: list[tuple[int, int]] = []
@@ -337,6 +365,17 @@ class _Searcher:
             self.passes += axis_passes
             self.steps += axis_passes[:1]
             self.lines.append((stride, dim, ceiling, axis_passes))
+        # ranks[r]: elements on exactly r ceilings ("Ranks by ceilings");
+        # rank_below[s]: elements of rank < s; corank[c]: n - rho(c)
+        ranks = [self.full_mask]
+        for _, _, ceiling, _ in self.lines:
+            ranks = [below & ~ceiling | on & ceiling
+                     for below, on in zip(ranks + [0], [0] + ranks)]
+        self.rank_below = list(itertools.accumulate(
+            ranks, operator.or_, initial=0))
+        self.corank = sum((poset.arity - r) * _lanes(mask)
+                          for r, mask in enumerate(ranks) if mask
+                          ).to_bytes(width, "little")
         self._candidates_cache: dict[tuple[int, int, bool],
                                      list[tuple[int, int]]] = {}
         self.cycle = self._variable_cycle()
@@ -392,7 +431,6 @@ class _Searcher:
         cached = self._candidates_cache.get(key)
         if cached is None:
             tops = self.multiples(c) & ~self.rank_below[s]
-            period = self.poset.arity
             if cycle is not None:
                 images = [c]  # images[j] = sigma^j c, for 0 <= j < period
                 while (image := cycle(images[-1])) != c:
@@ -401,14 +439,30 @@ class _Searcher:
                 for j in range(1, period // 2 + 1):
                     tops &= ~(self.multiples(images[j])
                               & self.multiples(images[-j]))
-            tops = sorted(_cells(tops), key=self.deg.__getitem__,
-                          reverse=True)  # stable: lex
-            if period < self.poset.arity:
-                tops = [v for v in tops if _power(cycle, v, period) == v]
+                if period < self.poset.arity:
+                    tops &= self.fixed(period)
             get = self._shapes.get  # a shape is never 0: `or` only on a miss
-            cached = [(v, get(v - c) or self.shape(v - c)) for v in tops]
+            cached = [(v, get(v - c) or self.shape(v - c))
+                      for level in reversed(self.level) if tops & level
+                      for v in _cells(tops & level)]
             self._candidates_cache[key] = cached
         return cached
+
+    def fixed(self, p: int) -> int:
+        """The elements that sigma^p fixes, for a proper divisor p of n:
+        the cells whose digit j equals digit j + p, which are the k * R for
+        k < d ** p, R = (d ** n - 1) // (d ** p - 1) having the digits
+        0...01 repeated n // p times.  One doubling shift per bit of
+        d ** p; multiples of R past the top cell fall off with the mask."""
+        mask = self._fixed.get(p)
+        if mask is None:
+            d, n = self.poset.dims[0], self.poset.arity
+            step, count, mask = (d ** n - 1) // (d ** p - 1), 1, 1
+            while count < d ** p:
+                mask |= mask << step * count
+                count *= 2
+            mask = self._fixed[p] = mask & self.full_mask
+        return mask
 
     def minimal(self, mask: int) -> int:
         """The elements of `mask` that no other element of it divides: the
@@ -422,7 +476,8 @@ class _Searcher:
             above_up |= (up & keep) << shift
         return mask & ~above_up
 
-    def branch_bottom(self, uncovered: int, s: int) -> int | None:
+    def branch_bottom(self, uncovered: int, s: int,
+                      cycle=None) -> int | None:
         """Counting prune and branch rule in one walk: None when no
         completion can exist, else the cell code of the bottom to branch
         on (module docstring, "Tightest bottom").
@@ -435,25 +490,36 @@ class _Searcher:
         The walk keeps the element of least slack, uncovered covers minus
         need, then of least degree; it visits codes in ascending order, so a
         tie keeps the lex-least.  With no uncovered element of rank < s the
-        bottom is the lex-least uncovered element."""
+        bottom is the lex-least uncovered element.  Given the cell
+        permutation `cycle`, under which `uncovered` must be invariant, the
+        walk scores each orbit once, at its lowest code, and counts its
+        need once per member (module docstring, "Orbit walk")."""
         walk = self.minimal(uncovered & self.rank_below[s])
         if not walk:
             return (uncovered & -uncovered).bit_length() - 1
         needs: dict[int, int] = {}
         best, best_slack, best_deg = -1, 0, 0
+        base = s - self.poset.arity  # need = s - rho = base + corank
+        corank, deg, known = self.corank, self.deg, self._covers
         while walk:
             low = walk & -walk
             c = low.bit_length() - 1
-            walk ^= low
-            need = s - self.rho[c]
-            covers = self._covers.get(c)
+            need = base + corank[c]
+            if cycle is None:
+                walk ^= low
+                forced = need
+            else:
+                orbit, members = self.orbit_cells(c, cycle)
+                walk ^= orbit
+                forced = need * members
+            covers = known.get(c)
             if covers is None:
-                covers = self._covers[c] = self.covers(c)
+                covers = known[c] = self.covers(c)
             slack = (covers & uncovered).bit_count() - need
             if slack < 0:
                 return None
-            d = self.deg[c]
-            needs[d] = needs.get(d, 0) + need
+            d = deg[c]
+            needs[d] = needs.get(d, 0) + forced
             if best < 0 or slack < best_slack or (
                     slack == best_slack and d < best_deg):
                 best, best_slack, best_deg = c, slack, d
@@ -461,6 +527,19 @@ class _Searcher:
             if req > (self.level[d + 1] & uncovered).bit_count():
                 return None
         return best
+
+    def orbit_cells(self, c: int, cycle) -> tuple[int, int]:
+        """The orbit of the element at c under `cycle`, as a mask, and its
+        size; cached by c."""
+        orbit = self._orbits.get(c)
+        if orbit is None:
+            mask, size, a = 1 << c, 1, cycle(c)
+            while a != c:
+                mask |= 1 << a
+                size += 1
+                a = cycle(a)
+            orbit = self._orbits[c] = mask, size
+        return orbit
 
     def orbit(self, w: int, v: int, placed: int,
               cycle) -> tuple[int, list[tuple[int, int]]]:
@@ -515,7 +594,7 @@ class _Searcher:
                     f"time ran out with target {s} open", stats)
             if uncovered in failed:
                 return None
-            w = self.branch_bottom(uncovered, s)
+            w = self.branch_bottom(uncovered, s, cycle)
             if w is None:
                 stats.prunes += 1
                 return None
@@ -570,7 +649,8 @@ class _Searcher:
         else:
             pairs = self.decide(s, deadline, stats, self.cycle)
             if (pairs is None and self.cycle is not None
-                    and self.branch_bottom(self.full_mask, s) is not None):
+                    and self.branch_bottom(self.full_mask, s, self.cycle)
+                    is not None):
                 pairs = self.decide(s, deadline, stats)
         if pairs is None:
             return None

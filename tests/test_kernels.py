@@ -1,9 +1,10 @@
 """Oracle tests for the bitmask kernels of the poset build and the search:
 membership DP, multiples and covers, the convexity and shifted box shapes
 that make interval masks need no table and no hole test, candidate order,
-the upper bound, the fibers that decide target 1, the minimal elements
-found by shifts, the popcount counting prune, the branch bottom it picks
-and the bounded failed-state memo.
+the rank classes read off the ceilings, the upper bound, the fibers that
+decide target 1, the minimal elements found by shifts, the popcount
+counting prune, the branch bottom it picks, the orbit search and its walk
+by orbits, and the bounded failed-state memo.
 
 The search masks are indexed by sub-box cell code; the oracles here work on
 element indices, and `_to_cells` translates their masks."""
@@ -130,6 +131,52 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
                 convex_pairs += 1
     assert convex_pairs > 100_000
 
+
+
+def _power(permutation, c, k):
+    """The image of c under the k-th power of `permutation`."""
+    for _ in range(k):
+        c = permutation(c)
+    return c
+
+
+def test_rank_and_fixed_point_masks_match_their_definitions(oracle_posets):
+    """The rank classes and the corank table read off the ceiling masks
+    ("Ranks by ceilings"), and the level masks, against `CharPoset.rho`
+    and the degree of each element; the cells that sigma^p fixes against
+    p steps of the cycle.  The posets include one-cell axes, the sparse
+    S/m^2 in 9 variables, an empty poset and posets the cycle fixes."""
+    posets = oracle_posets + [
+        build_poset(unit_ideal(9), maximal_power(9, 2)),
+        build_poset(maximal_power(3, 2), maximal_power(3, 2)),
+        build_poset(maximal_power(4, 2)),
+        build_poset(maximal_power(6, 1)),
+        build_poset(unit_ideal(6), maximal_power(6, 2)),
+    ]
+    assert any(1 in p.dims for p in posets if len(p))
+    assert any(len(p) == 0 for p in posets)
+    fixed_checked = set()
+    for p in posets:
+        searcher = partitions._Searcher(p)
+        n, codes = p.arity, p.codes
+        rho = [p.rho(u) for u in p.elements]
+        assert searcher.full_mask == sum(1 << c for c in codes)
+        for s in range(n + 2):
+            assert searcher.rank_below[s] == sum(
+                1 << c for c, r in zip(codes, rho) if r < s)
+        for d, level in enumerate(searcher.level):
+            assert level == sum(1 << c for c, u in zip(codes, p.elements)
+                                if sum(u) == d)
+        assert [n - searcher.corank[c] for c in codes] == rho
+        cycle = searcher.cycle
+        if cycle is None:
+            continue
+        for period in range(1, n):
+            if n % period == 0:
+                assert searcher.fixed(period) == sum(
+                    1 << c for c in codes if _power(cycle, c, period) == c)
+                fixed_checked.add((n, period))
+    assert {(4, 2), (6, 2), (6, 3)} <= fixed_checked
 
 def _upper_bound_oracle(poset):
     """The least, over minimal elements, of the highest rank among their
@@ -466,6 +513,50 @@ def test_orbit_walks_only_the_tops_it_places(monkeypatch):
     assert partitions.exists_partition(poset, 5, stats=stats) is not None
     assert (len(walks), stats.nodes, stats.prunes) == (10, 10, 0)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), gens=_cyclic_gens, shift=_cyclic_gens,
+       kind=st.sampled_from(["I", "S/J", "I/J"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_orbit_walk_matches_the_plain_walk(n, gens, shift, kind, seed):
+    """The "Orbit walk" lemma: on uncovered sets that the cycle fixes, the
+    full poset and unions of random orbits, the walk that scores each
+    orbit once gives the plain walk's verdict and bottom at every target.
+    The orbits come from rotating exponent tuples."""
+    poset = build_poset(*_cyclic_quotient(n, gens, shift, kind))
+    assume(0 < len(poset) <= 60)
+    searcher = partitions._get_searcher(poset)
+    assume(searcher.cycle is not None)
+    code = dict(zip(poset.elements, poset.codes))
+    orbits = sorted({sum(1 << c for c in {code[u[-j:] + u[:-j]]
+                                          for j in range(n)})
+                     for u in poset.elements})
+    rng = random.Random(seed)
+    states = [searcher.full_mask] + [
+        sum(rng.sample(orbits, rng.randint(1, len(orbits))))
+        for _ in range(6)]
+    for uncovered in states:
+        for s in range(n + 1):
+            assert searcher.branch_bottom(uncovered, s, searcher.cycle) == (
+                searcher.branch_bottom(uncovered, s))
+
+
+def test_orbit_walk_scores_one_element_per_orbit():
+    """m in 10 variables, the whole scan: the counting prune scores 24
+    elements, one per orbit, where scoring every element of its walk
+    scored 235.  Each scored element looks up its covers once."""
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, key):
+            Counting.lookups += 1
+            return super().get(key)
+
+    poset = build_poset(maximal_power(10, 1))
+    partitions._get_searcher(poset)._covers = Counting()
+    cert = partitions.sdepth_poset(poset)
+    assert (cert.s, cert.stats.nodes, Counting.lookups) == (5, 15, 24)
 
 def test_exhausted_orbit_search_hands_over_to_the_plain_search():
     """S/(x1 x2 x3) is the cube {0, 1}^3 without x1 x2 x3.  At target 2 the
