@@ -483,6 +483,23 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _intervals(value) -> IntervalPartition:
+    """A certificate's `intervals`, a list of [bottom, top] pairs of
+    integer lists, or TypeError.  One type set covers every exponent; the
+    per-value loop of `_json_ints` runs only to name a bad one."""
+    chain = itertools.chain.from_iterable
+    if (type(value) is not list or not set(map(type, value)) <= {list}
+            or not set(map(len, value)) <= {2}
+            or not set(map(type, chain(value))) <= {list}):
+        raise TypeError("intervals is not a list of [bottom, top] lists")
+    if not set(map(type, chain(chain(value)))) <= {int}:
+        for bottom, top in value:
+            _json_ints(bottom, "an interval bottom")
+            _json_ints(top, "an interval top")
+    return IntervalPartition(tuple(
+        Interval(tuple(bottom), tuple(top)) for bottom, top in value))
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         document = json.loads(Path(args.certificate).read_text(
@@ -494,10 +511,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         denominator = parse_ideal_structured(document["denominator"])
         g = _json_ints(document["g"], "g")
         (s,) = _json_ints([document["s"]], "s")
-        intervals = IntervalPartition(tuple(
-            Interval(_json_ints(bottom, "an interval bottom"),
-                     _json_ints(top, "an interval top"))
-            for bottom, top in document["intervals"]))
+        intervals = _intervals(document["intervals"])
         stored_hash = document["ideal_hash"]
     except (KeyError, TypeError) as exc:
         raise IdealParseError(f"malformed certificate: {exc!r}", 1) from exc

@@ -165,12 +165,26 @@ construction, so the backtracker runs only at s >= 2:
   is c + (d - 1 - c // t % d) * t.  A one-cell axis puts every cell on
   the ceiling, so its runs are single cells.
 
-Every certificate is re-checked by an independent marking verifier, which
-enumerates each interval's box itself, before it is returned.
+Every certificate is re-checked before it is returned, by a checker that
+calls nothing of the search:
+
+  Checking by masks.  For elements b | t and a cell w with b | w | t,
+  every digit of w lies between those of b and t, inside the sub-box, so
+  code(w) = code(b) + sum_j k_j * stride_j with k_j = w_j - b_j, and the
+  sum carries nothing.  Distinct k give distinct codes, so the box mask of
+  the extent t - b, the codes sum_j k_j * stride_j with 0 <= k_j <= t_j -
+  b_j, shifted left by code(b), is exactly the set of cells of [b, t],
+  and its bit order is their lex order.  Each interval strikes its cells
+  from the mask of the elements not yet covered.  A cell missing from
+  that mask is no element or was covered before, and the lowest such bit
+  is the lex-first bad cell; a bit left at the end is an uncovered
+  element.  The checker builds its own element mask from the codes and
+  its own box masks, each axis doubling the copies of the mask so far.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -696,18 +710,47 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
                                           stats)
 
 
+def _box_mask(extent, strides) -> int:
+    """The cells of the box [0, extent] in a sub-box with these axis
+    strides: the codes k_1 * stride_1 + ... + k_n * stride_n with
+    0 <= k_j <= extent_j.  Each axis doubles the copies of the mask so far,
+    stride_j apart, until it holds extent_j + 1 of them."""
+    box = 1
+    for e, stride in zip(extent, strides):
+        copies = 1
+        while copies <= e:
+            step = copies if copies + copies <= e + 1 else e + 1 - copies
+            box |= box << step * stride
+            copies += step
+    return box
+
+
 def verify_partition(poset: CharPoset, partition: IntervalPartition,
                      s: int) -> CheckResult:
     """Independent certificate checker: interval containment in the poset,
-    pairwise disjointness, exact cover, and min rank of tops >= s.  Linear
-    in the poset size, by marking; never trusts solver internals.  Each
-    interval's cells come from its own box enumeration, looked up in the
-    poset's element index."""
+    pairwise disjointness, exact cover, and min rank of tops >= s.  It
+    calls nothing of the search: it builds its own mask of the element
+    codes, takes each interval's cells as its own box mask shifted by the
+    bottom's code, and strikes them from the mask of the elements left
+    (module docstring, "Checking by masks").  The first failure is
+    reported, in interval order and within an interval in lex order of its
+    cells; an uncovered element is reported lex-least first."""
     members, g = poset._position, poset.g
-    seen: set[Monomial] = set()
+    codes, strides, dims = poset.codes, poset.strides, poset.dims
+    # One binary digit per cell, reversed in place to put the highest code
+    # first; base 2 parses in linear time, where OR-ing bits into an int
+    # one at a time is quadratic.
+    digits = bytearray(b"0") * (codes[-1] + 1 if codes else 1)
+    for c in codes:
+        digits[c] = 49  # ord("1")
+    digits.reverse()
+    left = int(digits, 2)
+    del digits
+    boxes: dict[tuple[int, ...], int] = {}
     for interval in partition:
         bottom, top = tuple(interval.bottom), tuple(interval.top)
-        if bottom not in members:
+        index = members.get(bottom)
+        if index is None:
             return CheckResult(False, f"bottom {bottom} is not a poset element")
         if top not in members:
             return CheckResult(False, f"top {top} is not a poset element")
@@ -716,28 +759,42 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
         rank = sum(map(operator.eq, top, g))
         if rank < s:
             return CheckResult(False, f"top {top} has rank {rank} < {s}")
-        for w in itertools.product(*map(range, bottom, map((1).__add__, top))):
+        extent = tuple(map(operator.sub, top, bottom))
+        box = boxes.get(extent)
+        if box is None:
+            box = boxes[extent] = _box_mask(extent, strides)
+        base = codes[index]
+        cells = box << base
+        left ^= cells
+        bad = left & cells  # the cells that were not left
+        if bad:
+            offset = (bad & -bad).bit_length() - 1 - base
+            w = tuple(b + offset // t % d
+                      for b, t, d in zip(bottom, strides, dims))
             if w not in members:
                 return CheckResult(
                     False, f"interval [{bottom}, {top}] leaves the poset at {w}")
-            if w in seen:
-                return CheckResult(False, f"double cover at {w}")
-            seen.add(w)
-    if len(seen) != len(poset):
-        missing = next(u for u in poset.elements if u not in seen)
-        return CheckResult(False, f"uncovered element {missing}")
+            return CheckResult(False, f"double cover at {w}")
+    if left:
+        low = (left & -left).bit_length() - 1
+        return CheckResult(False, "uncovered element "
+                           f"{poset.elements[bisect.bisect_left(codes, low)]}")
     return CheckResult(True)
 
 
 def verify_certificate(poset: CharPoset, partition: IntervalPartition,
                        s: int) -> CheckResult:
-    """The certificate rule: the poset is nonempty, the partition passes
-    `verify_partition` at s, and some top has rank exactly s."""
+    """The certificate rule: the poset is nonempty, s lies in [0, n], the
+    partition passes `verify_partition` at s, and some top has rank
+    exactly s.  Once every top has rank >= s, the first top of rank s
+    settles the last test."""
     if len(poset) == 0:
         return CheckResult(False, "the poset is empty (the quotient module is zero)")
+    if not 0 <= s <= poset.arity:
+        return CheckResult(False, f"target {s} outside [0, {poset.arity}]")
     check = verify_partition(poset, partition, s)
-    if check and min(sum(map(operator.eq, iv.top, poset.g))
-                     for iv in partition) != s:
+    if check and not any(sum(map(operator.eq, iv.top, poset.g)) == s
+                         for iv in partition):
         return CheckResult(False, f"every top has rank above {s}")
     return check
 

@@ -136,3 +136,32 @@ def brute_force_decomposition_check(num_gens, den_gens, n, spaces,
         if cover.get(w, 0) != (1 if member else 0):
             return False
     return True
+
+
+def brute_force_verify_partition(elements, g, intervals, s) -> str:
+    """Per-cell partition check: "" when the (bottom, top) pairs partition
+    `elements` into intervals whose tops have rank >= s, else the reason
+    of the first failure.  Each interval's cells come from its own box
+    enumeration in lex order, looked up in a set of the elements."""
+    members = set(elements)
+    seen = set()
+    for bottom, top in intervals:
+        bottom, top = tuple(bottom), tuple(top)
+        if bottom not in members:
+            return f"bottom {bottom} is not a poset element"
+        if top not in members:
+            return f"top {top} is not a poset element"
+        if not divides_raw(bottom, top):
+            return f"bottom {bottom} does not divide top {top}"
+        rank = sum(1 for a, b in zip(top, g) if a == b)
+        if rank < s:
+            return f"top {top} has rank {rank} < {s}"
+        for w in box_interval(bottom, top):
+            if w not in members:
+                return f"interval [{bottom}, {top}] leaves the poset at {w}"
+            if w in seen:
+                return f"double cover at {w}"
+            seen.add(w)
+    if len(seen) != len(members):
+        return f"uncovered element {min(members - seen)}"
+    return ""

@@ -151,6 +151,44 @@ def test_certificate_roundtrip_and_tampering(tmp_path, m5_file, capsys):
 
 
 @pytest.mark.parametrize("edit", [
+    lambda d: d["intervals"].__setitem__(0, d["intervals"][0][:1]),
+    lambda d: d["intervals"][0].append(d["intervals"][0][1]),
+    lambda d: d.update(intervals={"ab": [1, 2], "x": 3}),
+    lambda d: d.update(intervals={}),
+    lambda d: d["intervals"].__setitem__(0, 7),
+    lambda d: d["intervals"][0].__setitem__(0, "12"),
+    lambda d: d["intervals"][0].__setitem__(1, {}),
+], ids=["one-part", "three-parts", "dict", "empty-dict", "int-entry",
+        "string-bottom", "dict-top"])
+def test_verify_rejects_malformed_intervals(tmp_path, m5_file, capsys, edit):
+    """An interval entry with 1 or 3 parts, or intervals as a dict, used to
+    end in "error: not enough values to unpack"."""
+    cert_path = tmp_path / "cert.json"
+    assert main(["sdepth", "--input", m5_file, "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    document = json.loads(cert_path.read_text())
+    edit(document)
+    cert_path.write_text(json.dumps(document))
+    assert main(["verify", str(cert_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "malformed certificate" in err
+
+
+@pytest.mark.parametrize("s", [-1, 6])
+def test_verify_rejects_targets_outside_the_rank_range(tmp_path, m5_file,
+                                                       capsys, s):
+    cert_path = tmp_path / "cert.json"
+    assert main(["sdepth", "--input", m5_file, "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    document = json.loads(cert_path.read_text())
+    document["s"] = s
+    cert_path.write_text(json.dumps(document))
+    assert main(["verify", str(cert_path)]) == 4
+    assert (f"certificate INVALID: target {s} outside [0, 5]"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edit", [
     lambda d: d.update(s=d["s"] + 0.9),
     lambda d: d.update(s=str(d["s"])),
     lambda d: d.update(s=True),

@@ -1,3 +1,6 @@
+import itertools
+import math
+import operator
 import random
 import sys
 import time
@@ -5,7 +8,12 @@ import tracemalloc
 
 import pytest
 
-from bruteforce import brute_force_decomposition_check, brute_force_sdepth
+from bruteforce import (
+    brute_force_decomposition_check,
+    brute_force_sdepth,
+    brute_force_verify_partition,
+    member_of_ideal,
+)
 from corpus import exhaustive_ideals
 from sdepthlab import (
     Interval,
@@ -31,7 +39,7 @@ from sdepthlab import (
     verify_stanley_decomposition,
     zero_ideal,
 )
-from sdepthlab import partitions
+from sdepthlab import partitions, posets
 
 
 def test_exists_partition_maximal_ideal_n2():
@@ -537,6 +545,169 @@ def test_verify_certificate_rule():
     check = verify_certificate(build_poset(ideal, ideal), IntervalPartition(()),
                                0)
     assert not check and "poset is empty" in check.reason
+
+
+def test_verify_certificate_rejects_targets_outside_the_rank_range():
+    """s = -1 used to read "every top has rank above -1"."""
+    cert = sdepth_ideal(maximal_power(3, 1))
+    for s in (-1, 4):
+        check = verify_certificate(cert.poset, cert.partition, s)
+        assert not check and check.reason == f"target {s} outside [0, 3]"
+
+
+def _same_verdict(poset, pairs, s):
+    """verify_partition and the per-cell oracle give the same reason ("" when
+    both accept); returns the reason."""
+    check = verify_partition(poset, IntervalPartition(tuple(
+        Interval(b, t) for b, t in pairs)), s)
+    reason = brute_force_verify_partition(poset.elements, poset.g, pairs, s)
+    assert (check.ok, check.reason) == (not reason, reason)
+    return reason
+
+
+def _tampered_pairs(poset, pairs, s, rng):
+    """Copies of a partition with one edit each: an interval dropped, an
+    interval grown one step onto an element (a double cover), a non-element
+    endpoint, a bottom swapped with its top, and the target raised above
+    the least top rank."""
+    i = rng.randrange(len(pairs))
+    yield pairs[:i] + pairs[i + 1:], s
+    g, n = poset.g, poset.arity
+    grown = [(k, j) for k, (b, t) in enumerate(pairs) for j in range(n)
+             if t[j] < g[j] and t[:j] + (t[j] + 1,) + t[j + 1:] in poset]
+    if grown:
+        k, j = rng.choice(grown)
+        b, t = pairs[k]
+        grown_top = t[:j] + (t[j] + 1,) + t[j + 1:]
+        yield pairs[:k] + [(b, grown_top)] + pairs[k + 1:], s
+    outside = tuple(e + 1 for e in g)
+    b, t = pairs[i]
+    ends = [(outside, t), (b, outside)]
+    yield pairs[:i] + [rng.choice(ends)] + pairs[i + 1:], s
+    swapped = [k for k, (b, t) in enumerate(pairs) if b != t]
+    if swapped:
+        k = rng.choice(swapped)
+        yield pairs[:k] + [pairs[k][::-1]] + pairs[k + 1:], s
+    yield pairs, min(poset.rho(t) for _, t in pairs) + 1
+
+
+_REASONS = ("not a poset element", "does not divide", "has rank",
+            "leaves the poset", "double cover", "uncovered element")
+
+
+def test_mask_checker_matches_the_per_cell_checker(small_corpus):
+    """Every certificate of S/I and I over the n <= 3 corpus, and tampered
+    copies of each: the same verdict and reason as the per-cell oracle."""
+    rng = random.Random(20261019)
+    reasons = {}
+    for ideal in small_corpus:
+        if ideal.is_zero:
+            continue
+        for cert in (sdepth_ideal(ideal),
+                     sdepth_quotient(unit_ideal(ideal.arity), ideal)):
+            pairs = [(iv.bottom, iv.top) for iv in cert.partition]
+            assert _same_verdict(cert.poset, pairs, cert.s) == ""
+            for tampered, s in _tampered_pairs(cert.poset, pairs, cert.s, rng):
+                reason = _same_verdict(cert.poset, tampered, s)
+                kind = next(k for k in _REASONS if k in reason)
+                reasons[kind] = reasons.get(kind, 0) + 1
+    assert set(reasons) == set(_REASONS) - {"leaves the poset"}, reasons
+    assert min(reasons.values()) > 100, reasons
+
+
+def test_mask_checker_matches_the_per_cell_checker_on_decompositions(
+        small_corpus):
+    """verify_stanley_decomposition on Janet decompositions of S/I and
+    tampered copies, against the per-cell oracle on the intervals of the
+    cube [0, cap]^n."""
+    rng = random.Random(20261019)
+    seen = set()
+    for index, ideal in enumerate(small_corpus[::7]):
+        n = ideal.arity
+        decomposition = janet_decomposition(ideal)
+        cap = max(sum(default_box(unit_ideal(n), ideal)), 1)
+        elements = [w for w in itertools.product(range(cap + 1), repeat=n)
+                    if not member_of_ideal(ideal.generators, w)]
+        kinds = ("drop", "duplicate", "shift", "toggle")
+        for d in (decomposition,
+                  _tampered(decomposition, cap, rng, kinds[index % 4])):
+            check = verify_stanley_decomposition(unit_ideal(n), ideal, d, cap)
+            pairs = [(m, tuple(cap if j + 1 in z else e
+                               for j, e in enumerate(m)))
+                     for m, z in d.spaces if max(m, default=0) <= cap]
+            reason = brute_force_verify_partition(elements, (cap,) * n,
+                                                  pairs, 0)
+            assert (check.ok, check.reason) == (not reason, reason)
+            seen.add(next((k for k in _REASONS if k in reason), reason))
+    assert seen >= {"", "double cover", "uncovered element"}, seen
+
+
+def test_box_mask_is_the_box_of_cells():
+    """The box mask of an extent against itertools.product over it, in
+    random sub-boxes of up to five axes; its popcount is the product of
+    the e_j + 1."""
+    rng = random.Random(18)
+    for _ in range(300):
+        dims = [rng.randint(1, 6) for _ in range(rng.randint(0, 5))]
+        strides = posets._weights(dims)
+        extent = [rng.randrange(d) for d in dims]
+        mask = partitions._box_mask(extent, strides)
+        assert mask == sum(1 << sum(map(operator.mul, k, strides))
+                           for k in itertools.product(
+                               *(range(e + 1) for e in extent)))
+        assert bin(mask).count("1") == math.prod(e + 1 for e in extent)
+
+
+class _HoledPoset:
+    """A poset's element index with one element taken out.  No CharPoset
+    has a hole between two of its elements (convexity), so this is the only
+    way to reach the checker's "leaves the poset" branch."""
+
+    def __init__(self, poset, hole):
+        self.g, self.strides, self.dims = poset.g, poset.strides, poset.dims
+        kept = [(c, u) for c, u in zip(poset.codes, poset.elements)
+                if u != hole]
+        self.codes = tuple(c for c, _ in kept)
+        self.elements = tuple(u for _, u in kept)
+        self._position = {u: i for i, u in enumerate(self.elements)}
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __contains__(self, u):
+        return tuple(u) in self._position
+
+    def rho(self, u):
+        return sum(map(operator.eq, u, self.g))
+
+
+def test_mask_checker_reports_a_hole_in_the_poset():
+    holed = _HoledPoset(maximal_power_poset(3, 1), (1, 1, 0))
+    # the hole is the first bad cell in lex order
+    assert _same_verdict(holed, [((0, 1, 0), (0, 1, 1)),
+                                 ((1, 0, 0), (1, 1, 1))], 0) == (
+        "interval [(1, 0, 0), (1, 1, 1)] leaves the poset at (1, 1, 0)")
+    # a double cover before the hole in lex order is reported first
+    assert _same_verdict(holed, [((1, 0, 1), (1, 0, 1)),
+                                 ((1, 0, 0), (1, 1, 1))], 0) == (
+        "double cover at (1, 0, 1)")
+    # a double cover after it is not
+    assert _same_verdict(holed, [((1, 1, 1), (1, 1, 1)),
+                                 ((1, 0, 0), (1, 1, 1))], 0) == (
+        "interval [(1, 0, 0), (1, 1, 1)] leaves the poset at (1, 1, 0)")
+    # the plain partition of the holed poset into singletons passes
+    assert _same_verdict(holed, [(u, u) for u in holed.elements], 0) == ""
+
+
+def test_verify_partition_builds_no_search_machinery():
+    """The checker shares nothing with the search: checking a certificate
+    of a fresh poset leaves it without a searcher."""
+    cert = sdepth_ideal(maximal_power(4, 2))
+    fresh = maximal_power_poset(4, 2)
+    assert verify_certificate(fresh, cert.partition, cert.s)
+    assert not verify_partition(fresh, IntervalPartition(
+        cert.partition.intervals[1:]), cert.s)
+    assert not hasattr(fresh, "_searcher")
 
 
 def test_brute_force_agreement_on_power_posets():
