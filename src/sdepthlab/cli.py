@@ -236,29 +236,39 @@ _encode_scalar = json.JSONEncoder().encode
 _INT, _LIST = {int}, {list}
 
 
-def _int_lists(value, depth: int, indent: str) -> str:
+def _int_lists(value, ints, depth: int, rectangular: bool,
+               indent: str) -> str:
     """`_json_text` of a list nested `depth` lists deep, every list
-    nonempty and every leaf a plain int: one join per int list, as an int
-    is its own repr in JSON, and one call per list of int lists."""
-    inner = indent + "  "
-    if depth > 1:
-        items = [_int_lists(item, depth - 1, inner) for item in value]
-    elif depth:
-        sep = ",\n" + inner + "  "
-        items = ["[" + sep[1:] + sep.join(map(repr, item)) + "\n" + inner + "]"
-                 for item in value]
-    else:
-        items = map(repr, value)
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    nonempty, whose leaves are the plain ints `ints` in order, as an int
+    is its own repr in JSON.  A flat list is one join of reprs.  A deeper
+    nest is one template of %d slots, then one % for all the ints; a
+    rectangular nest, whose lists at each depth have one length, builds
+    one template string per depth, any other nest one per list."""
+    if not depth:
+        inner = indent + "  "
+        return ("[\n" + inner + (",\n" + inner).join(map(repr, ints)) + "\n"
+                + indent + "]")
+
+    def template(value, depth: int, indent: str) -> str:
+        inner = indent + "  "
+        if not depth:
+            items = ["%d"] * len(value)
+        elif rectangular:
+            items = [template(value[0], depth - 1, inner)] * len(value)
+        else:
+            items = [template(item, depth - 1, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+    return template(value, depth, indent) % tuple(ints)
 
 
 def _json_text(value, indent: str) -> str:
     """`value` as `json.dumps(value, indent=2)` writes it, nested under
     `indent`, for documents of dicts with string keys, lists and scalars.
     A nest of nonempty lists with plain ints at the bottom, such as the
-    intervals of a certificate, takes one type test per depth for the
-    whole nest and then `_int_lists`; the type test leaves out bools,
-    which JSON spells in lower case."""
+    intervals of a certificate, takes one type test and one length test
+    per depth for the whole nest and then `_int_lists`; the type test
+    leaves out bools, which JSON spells in lower case."""
     if isinstance(value, dict) and value:
         inner = indent + "  "
         body = (",\n" + inner).join(
@@ -266,12 +276,13 @@ def _json_text(value, indent: str) -> str:
             for key, item in value.items())
         return "{\n" + inner + body + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        depth, level = 0, value
+        depth, level, rectangular = 0, value, True
         while (types := set(map(type, level))) == _LIST and all(level):
+            rectangular = rectangular and len(set(map(len, level))) == 1
             level = list(itertools.chain.from_iterable(level))
             depth += 1
         if types == _INT:
-            return _int_lists(value, depth, indent)
+            return _int_lists(value, level, depth, rectangular, indent)
         inner = indent + "  "
         body = (",\n" + inner).join(
             _json_text(item, inner) for item in value)

@@ -25,15 +25,19 @@ class ArityMismatch(ValueError):
 
 
 def as_monomial(exponents, arity: int | None = None) -> Monomial:
-    """Validate and normalize an exponent sequence into a Monomial."""
-    m = tuple(int(e) for e in exponents)
+    """Validate and normalize an exponent sequence into a Monomial.  One
+    range test by `min` and `max` clears a valid one; the exponents are
+    walked one by one only to name the first bad one."""
+    m = tuple(map(int, exponents))
     if arity is not None and len(m) != arity:
         raise ArityMismatch(f"expected arity {arity}, got {len(m)}")
-    for e in m:
-        if e < 0:
-            raise ValueError(f"negative exponent in {m}")
-        if e > DEFAULT_EXPONENT_CAP:
-            raise ValueError(f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
+    if m and (min(m) < 0 or max(m) > DEFAULT_EXPONENT_CAP):
+        for e in m:
+            if e < 0:
+                raise ValueError(f"negative exponent in {m}")
+            if e > DEFAULT_EXPONENT_CAP:
+                raise ValueError(
+                    f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
     return m
 
 
@@ -69,7 +73,7 @@ def total_degree(u: Monomial) -> int:
 
 def degrevlex_key(u: Monomial):
     """Sort key giving ascending degrevlex order (x2^2 < x1x2 < x1^2)."""
-    return (sum(u), tuple(-e for e in reversed(u)))
+    return (sum(u), tuple(map(operator.neg, reversed(u))))
 
 
 @dataclass(frozen=True)

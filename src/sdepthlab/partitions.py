@@ -83,6 +83,24 @@ masks, and finds the minimal uncovered elements by shifts:
   axis puts every cell on its ceiling, and at most 62 axes have two cells
   or more, as the sub-box has at most sys.maxsize cells.
 
+  Levels by doubling.  The degree of a cell is sum(lo) plus the sum of
+  its digits.  The cells of each digit sum grow from cell 0, of digit sum
+  0, by doubling along each axis as the checker's box masks do, with each
+  copy carrying its degree: with L[k] the cells of digit sum k so far, a
+  shift by `step` cells along an axis of stride t makes the new L[k]
+  equal to L[k] | L[k - step] << step * t.  The shift carries nothing,
+  as the copies stay inside the side of the axis.  The step is
+  min(copies, side - copies), so on a side that is not a power of two the
+  last step lays copies over cells already there.  The OR still puts each
+  cell in one class: a cell comes from L[k] only if its digits sum to k,
+  and from L[k - step] << step * t only if they sum to k - step before
+  the shift adds step to one digit, so to k again.  ANDed with the
+  elements and offset by sum(lo), L[k] is the level of degree
+  sum(lo) + k, up to sum(g).  One empty level more makes sum(g) + 2, so
+  the counting prune reads level[d + 1] with no bound test at every
+  degree d.  The degree of a walked element comes from the digits of its
+  code, so no Python loop runs over the elements for levels either.
+
   Memo before prune.  The search consults its failed-state memo before
   the prune.  A state enters the memo only after it passed the prune at
   the same target, and the prune is a function of the state and the
@@ -185,7 +203,6 @@ calls nothing of the search:
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import operator
 import sys
@@ -284,21 +301,36 @@ class StanleyDecomposition:
 _FAILED_MEMO_BYTES = 4 << 20
 
 
-def _class_masks(classes: dict[int, int], size: int) -> list[int]:
-    """masks[k] has a bit at each code c with classes[c] == k.  The bits of
-    a class go into a bytearray as wide as its highest code, which becomes
-    an int once: OR-ing them into an int one at a time would copy the int
-    every time, quadratic in the number of codes."""
-    groups: dict[int, list[int]] = {}
-    for c, k in classes.items():
-        groups.setdefault(k, []).append(c)
-    masks = [0] * size
-    for k, codes in groups.items():
-        buffer = bytearray(max(codes) // 8 + 1)
-        for c in codes:
-            buffer[c >> 3] |= 1 << (c & 7)
-        masks[k] = int.from_bytes(buffer, "little")
-    return masks
+def _code_mask(codes) -> int:
+    """The mask with a bit at each of the ascending `codes`: one binary
+    digit per cell, reversed to put the highest code first.  Base 2 parses
+    in linear time, where OR-ing bits into an int one at a time is
+    quadratic.  The digits are set by a plain loop: on CPython 3.11 a
+    `map` over `bytearray.__setitem__` takes 2.5 times as long, as each
+    item pays for a call through the slot wrapper."""
+    if not codes:
+        return 0
+    digits = bytearray(b"0") * (codes[-1] + 1)
+    for c in codes:
+        digits[c] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _digit_sums(axes) -> list[int]:
+    """sums[k]: the cells of a box whose digits sum to k, for the box with
+    these (stride, side) axes, by doubling along each axis ("Levels by
+    doubling" in the module docstring)."""
+    sums = [1]
+    for stride, dim in axes:
+        copies = 1
+        while copies < dim:
+            step = min(copies, dim - copies)
+            pad = [0] * step
+            sums = [low | high << step * stride
+                    for low, high in zip(sums + pad, pad + sums)]
+            copies += step
+    return sums
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -325,33 +357,38 @@ class _Searcher:
 
     Masks are over sub-box cell codes (module docstring).  The set-up keeps
     no mask per element: shapes are cached by code difference when first
-    used, covers and orbits when the counting prune first walks an
-    element, and the cells that sigma^p fixes per period p.  Level and
-    rank masks let the counting prune count by popcount and the candidates
-    filter by rank and run in level order; the rank masks and the `corank`
-    table, n - rho by cell code, come from the ceiling masks with no loop
-    over elements ("Ranks by ceilings").  `passes` holds the (shift, keep)
-    pairs of the doubling passes of the up-closure, `keep` the cells that
-    the shift moves to an element without carrying past the ceiling of its
-    axis, and `steps` the single-step pass of each axis, for `minimal` and
-    `covers`.  `lines` holds the stride, side, ceiling cells and passes of
-    each axis, for `fiber_partition`.  `cycle` is the action of the
-    variable cycle on cell codes when it fixes the input and moves some
-    cell, else None (module docstring, "Invariant search").
+    used, the covers and degree of an element and its orbit when the
+    counting prune first walks it, and the cells that sigma^p fixes per
+    period p.
+    Level and rank masks let the counting prune count by popcount and the
+    candidates filter by rank and run in level order; the level masks come
+    from doubling over the sub-box ("Levels by doubling"), and the rank
+    masks and the `corank` table, n - rho by cell code, from the ceiling
+    masks ("Ranks by ceilings"), with no loop over elements.  `passes`
+    holds the (shift, keep) pairs of the doubling passes of the
+    up-closure, `keep` the cells that the shift moves to an element
+    without carrying past the ceiling of its axis, and `steps` the
+    single-step pass of each axis, for `minimal` and `covers`.  `lines`
+    holds the stride, side, ceiling cells and passes of each axis, for
+    `fiber_partition`.  `cycle` is the action of the variable cycle on
+    cell codes when it fixes the input and moves some cell, else None
+    (module docstring, "Invariant search").
     """
 
     def __init__(self, poset: CharPoset):
         self.poset = poset
         self.codes = poset.codes
         self.m = len(self.codes)
-        self.deg = dict(zip(self.codes, map(sum, poset.elements)))
-        # level[d]: elements of degree d
-        self.level = _class_masks(self.deg, sum(poset.g) + 2)
-        self.full_mask = functools.reduce(operator.or_, self.level)
+        self.full_mask = _code_mask(self.codes)
         self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
         self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
+        # level[d]: elements of degree d ("Levels by doubling"); cell 0 is
+        # the corner lo
+        self.lo_degree = sum(poset.g) - sum(dim - 1 for dim in poset.dims)
+        self.level = [0] * self.lo_degree + [
+            cells & self.full_mask for cells in _digit_sums(self._axes)] + [0]
         self._shapes = {0: 1}
-        self._covers: dict[int, int] = {}
+        self._covers: dict[int, tuple[int, int]] = {}  # covers, degree
         self._orbits: dict[int, tuple[int, int]] = {}
         self._fixed: dict[int, int] = {}
         width = self.full_mask.bit_length()
@@ -435,6 +472,11 @@ class _Searcher:
         """The elements one step above c: one shift of its bit per axis."""
         return sum((1 << c & keep) << shift for shift, keep in self.steps)
 
+    def degree(self, c: int) -> int:
+        """The degree of the element at c, from the digits of its code."""
+        return self.lo_degree + sum(c // stride % dim
+                                    for stride, dim in self._axes)
+
     def _candidates(self, c: int, s: int, cycle=None) -> list[tuple[int, int]]:
         """Tops of the intervals at bottom c with rank >= s, in decreasing
         degree, then lex order, each with the shape of its interval.  Under
@@ -514,7 +556,7 @@ class _Searcher:
         needs: dict[int, int] = {}
         best, best_slack, best_deg = -1, 0, 0
         base = s - self.poset.arity  # need = s - rho = base + corank
-        corank, deg, known = self.corank, self.deg, self._covers
+        corank, known = self.corank, self._covers
         while walk:
             low = walk & -walk
             c = low.bit_length() - 1
@@ -526,13 +568,13 @@ class _Searcher:
                 orbit, members = self.orbit_cells(c, cycle)
                 walk ^= orbit
                 forced = need * members
-            covers = known.get(c)
-            if covers is None:
-                covers = known[c] = self.covers(c)
+            entry = known.get(c)
+            if entry is None:
+                entry = known[c] = self.covers(c), self.degree(c)
+            covers, d = entry
             slack = (covers & uncovered).bit_count() - need
             if slack < 0:
                 return None
-            d = deg[c]
             needs[d] = needs.get(d, 0) + forced
             if best < 0 or slack < best_slack or (
                     slack == best_slack and d < best_deg):
@@ -668,9 +710,11 @@ class _Searcher:
                 pairs = self.decide(s, deadline, stats)
         if pairs is None:
             return None
-        element = dict(zip(self.codes, self.poset.elements))
+        codes, elements = self.codes, self.poset.elements
         return IntervalPartition(tuple(
-            Interval(element[u], element[v]) for u, v in pairs))
+            Interval(elements[bisect.bisect_left(codes, u)],
+                     elements[bisect.bisect_left(codes, v)])
+            for u, v in pairs))
 
     def intrinsic_upper_bound(self) -> int:
         """Largest s any partition could reach: each minimal poset element

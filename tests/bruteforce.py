@@ -7,6 +7,27 @@ values; they are never imported by the package itself.
 
 from itertools import product
 
+from sdepthlab.monomials import DEFAULT_EXPONENT_CAP, ArityMismatch
+
+
+def as_monomial_walk(exponents, arity=None):
+    """`as_monomial` by one generator pass and a walk over the exponents,
+    with its error types and messages."""
+    m = tuple(int(e) for e in exponents)
+    if arity is not None and len(m) != arity:
+        raise ArityMismatch(f"expected arity {arity}, got {len(m)}")
+    for e in m:
+        if e < 0:
+            raise ValueError(f"negative exponent in {m}")
+        if e > DEFAULT_EXPONENT_CAP:
+            raise ValueError(f"exponent {e} exceeds cap {DEFAULT_EXPONENT_CAP}")
+    return m
+
+
+def degrevlex_key_walk(u):
+    """`degrevlex_key` by a generator over the reversed exponents."""
+    return (sum(u), tuple(-e for e in reversed(u)))
+
 
 def box_interval(bottom, top):
     return list(product(*(range(a, b + 1) for a, b in zip(bottom, top))))

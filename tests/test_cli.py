@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -323,10 +324,51 @@ _json_documents = st.recursive(
     max_leaves=30)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_json_documents)
+_big_ints = st.one_of(st.integers(), st.just(0),
+                      st.integers(2**63, 2**200), st.integers(-2**200, -1))
+
+
+@st.composite
+def _int_nests(draw):
+    """Nests of int lists, depth 0 to 3, with all leaves at one depth:
+    rectangular or ragged, some with a bool leaf or an empty list."""
+    depth = draw(st.integers(0, 3))
+    rectangular = draw(st.booleans())
+    leaf = (st.one_of(_big_ints, st.booleans()) if draw(st.booleans())
+            else _big_ints)
+    length = st.integers(0 if draw(st.booleans()) else 1, 3)
+    lengths = [draw(length) for _ in range(depth)]
+
+    def nest(k):
+        if k == depth:
+            return draw(leaf)
+        size = lengths[k] if rectangular else draw(length)
+        return [nest(k + 1) for _ in range(size)]
+
+    return nest(0)
+
+
+def _int_nest_depth(value):
+    """The depth of a nest of nonempty lists with plain ints, all at one
+    depth, at the bottom; None for anything else."""
+    if type(value) is int:
+        return 0
+    if type(value) is not list or not value:
+        return None
+    depths = {_int_nest_depth(item) for item in value}
+    return None if None in depths or len(depths) > 1 else depths.pop() + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_json_documents, _int_nests()))
 def test_document_writer_matches_json_dumps(document):
-    assert cli._json_text(document, "") == json.dumps(document, indent=2)
+    """The bytes of json.dumps(indent=2), and the int-nest path taken for
+    the whole document exactly when it is a nest of nonempty lists of
+    plain ints: a bool or an empty list sends it down the generic path."""
+    with mock.patch.object(cli, "_int_lists", wraps=cli._int_lists) as spy:
+        assert cli._json_text(document, "") == json.dumps(document, indent=2)
+    took = any(call.args[0] is document for call in spy.call_args_list)
+    assert took == bool(_int_nest_depth(document))
 
 
 @pytest.mark.parametrize("command, ideals, digest", [

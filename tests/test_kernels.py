@@ -12,6 +12,7 @@ element indices, and `_to_cells` translates their masks."""
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -96,21 +97,41 @@ def oracle_posets(kernel_posets, small_corpus):
     return kernel_posets + extra
 
 
+def _doubling_posets():
+    """Posets where the level masks' doubling could slip: lo != 0, sides
+    of 5 and 7 cells (not powers of two), and a long single axis."""
+    return [
+        build_poset(minimalize([(3, 1, 2), (1, 3, 2), (2, 2, 3)], 3),
+                    minimalize([(3, 3, 3)], 3)),
+        build_poset(minimalize([(1, 2)], 2), minimalize([(5, 8)], 2)),
+        build_poset(unit_ideal(2), minimalize([(4, 6)], 2)),
+        build_poset(unit_ideal(1), minimalize([(40,)], 1)),
+    ]
+
+
 def test_closure_interval_and_candidate_kernels(oracle_posets):
     """The multiples of each element against plain divisibility; shifted
     shapes: for every dividing pair u | v the whole box interval lies in
     the poset (convexity) and is shape(v - u) << u; the covers against the
-    one-step multiples; and the candidates against the
-    divisibility-and-rank filter in (-deg, lex) order, each with the shape
-    of its interval."""
+    one-step multiples; the candidates against the divisibility-and-rank
+    filter in (-deg, lex) order, each with the shape of its interval; one
+    level mask per degree up to sum(g) + 1; and the degree that the
+    counting prune caches for every element it walks."""
+    posets = oracle_posets + _doubling_posets()
+    assert any(p._lo != (0,) * p.arity for p in posets[-4:])
     convex_pairs = 0
-    for p in oracle_posets:
+    for p in posets:
         searcher = partitions._get_searcher(p)
         elems = p.elements
         index = {u: i for i, u in enumerate(elems)}
         rho = [p.rho(u) for u in elems]
         divides = [[divides_raw(u, v) for v in elems] for u in elems]
         codes = p.codes
+        assert len(searcher.level) == sum(p.g) + 2
+        for c in codes:  # walks c unless c has the full rank n
+            searcher.branch_bottom(1 << c, p.arity)
+        assert {c: deg for c, (_, deg) in searcher._covers.items()} == {
+            c: sum(u) for c, u, r in zip(codes, elems, rho) if r < p.arity}
         for i, u in enumerate(elems):
             multiples = [j for j in range(len(elems)) if divides[i][j]]
             assert searcher.multiples(codes[i]) == _to_cells(
@@ -133,6 +154,33 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
 
 
 
+class _NoElementTuples:
+    """A poset whose element tuples and their index raise; every other
+    attribute is the wrapped poset's."""
+
+    def __init__(self, poset):
+        self._poset = poset
+
+    def __getattr__(self, name):
+        if name in ("elements", "_position"):
+            raise AssertionError(f"poset.{name} was read")
+        return getattr(self._poset, name)
+
+
+def test_search_set_up_reads_no_element_tuple():
+    """The set-up and the search work on cell codes alone: on m in 8
+    variables, a searcher over a poset without element tuples builds and
+    finds the same code pairs at target 4 as over the plain poset."""
+    poset = build_poset(maximal_power(8, 1))
+    bare = partitions._Searcher(_NoElementTuples(poset))
+    plain = partitions._Searcher(poset)
+    deadline = time.monotonic() + 60
+    pairs = bare.decide(4, deadline, partitions.SearchStats(), bare.cycle)
+    assert pairs
+    assert pairs == plain.decide(4, deadline, partitions.SearchStats(),
+                                 plain.cycle)
+
+
 def _power(permutation, c, k):
     """The image of c under the k-th power of `permutation`."""
     for _ in range(k):
@@ -146,7 +194,7 @@ def test_rank_and_fixed_point_masks_match_their_definitions(oracle_posets):
     and the degree of each element; the cells that sigma^p fixes against
     p steps of the cycle.  The posets include one-cell axes, the sparse
     S/m^2 in 9 variables, an empty poset and posets the cycle fixes."""
-    posets = oracle_posets + [
+    posets = oracle_posets + _doubling_posets() + [
         build_poset(unit_ideal(9), maximal_power(9, 2)),
         build_poset(maximal_power(3, 2), maximal_power(3, 2)),
         build_poset(maximal_power(4, 2)),

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_force_saturation_members, member_of_ideal
+from bruteforce import (
+    as_monomial_walk,
+    brute_force_saturation_members,
+    degrevlex_key_walk,
+    member_of_ideal,
+)
 from sdepthlab import (
     ArityMismatch,
     MonomialIdeal,
@@ -29,7 +34,11 @@ from sdepthlab import (
     unit_ideal,
     zero_ideal,
 )
-from sdepthlab.monomials import degrevlex_key, minimal_antichain
+from sdepthlab.monomials import (
+    DEFAULT_EXPONENT_CAP,
+    degrevlex_key,
+    minimal_antichain,
+)
 
 
 def test_divides():
@@ -56,6 +65,33 @@ def test_as_monomial_validation():
         as_monomial([2**15])
     with pytest.raises(ArityMismatch):
         as_monomial([1, 0], arity=3)
+
+
+_exponent = st.one_of(
+    st.integers(-3, 3),
+    st.integers(DEFAULT_EXPONENT_CAP - 2, DEFAULT_EXPONENT_CAP + 2),
+    st.integers(),
+    st.booleans(), st.floats(), st.sampled_from(["2", "-1", "x", ""]))
+
+
+def _outcome(function, *args):
+    """The value `function` returns, or the type and message it raises."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_exponent, max_size=5), st.none() | st.integers(0, 5))
+def test_canonicalising_matches_the_walks(exponents, arity):
+    """`as_monomial` and `degrevlex_key` against the walks over the
+    exponents that they replace: the same monomial, or the same error type
+    with the same message, and the same sort key."""
+    assert (_outcome(as_monomial, exponents, arity)
+            == _outcome(as_monomial_walk, exponents, arity))
+    ints = tuple(e for e in exponents if type(e) is int)
+    assert degrevlex_key(ints) == degrevlex_key_walk(ints)
 
 
 def test_minimalize():
