@@ -121,10 +121,15 @@ masks, and finds the minimal uncovered elements by shifts:
   interval that covers it in an invariant completion starts at it and
   trying every top covers all invariant completions.  The counting prune
   refutes every completion, so a prune at the root settles the target for
-  both searches; the failed memo holds states with no invariant
-  completion, so it is kept per search.  An exhausted orbit search proves
-  nothing, as a partition need not be invariant, so the plain search, the
-  identity permutation, follows it on the same deadline.
+  both searches.  An exhausted orbit search shows that prune in its
+  counters: its root was pruned iff it made one node and one prune, as the
+  failed memo is empty at the root, and a root that passes the prune
+  prunes nothing itself, while each state below it counts a node (none is
+  covered, or the search would not have exhausted).  The failed memo holds
+  states with no invariant completion, so it is kept per search.  An
+  exhausted orbit search proves nothing, as a partition need not be
+  invariant, so the plain search, the identity permutation, follows it on
+  the same deadline.
 
   Orbit overlap.  For elements w | v and tau = sigma^j, the intervals
   [w, v] and [tau w, tau v] share a cell iff tau w | v and tau^-1 w | v.
@@ -198,11 +203,16 @@ calls nothing of the search:
   is the lex-first bad cell; a bit left at the end is an uncovered
   element.  The checker builds its own element mask from the codes and
   its own box masks, each axis doubling the copies of the mask so far.
+  It tests the bottom and top of each interval by code against that
+  element mask, and only after the in-box test lo <= u <= g.  Inside the
+  sub-box each digit u_j - lo_j lies in [0, dim_j), so distinct tuples get
+  distinct codes.  Outside it the code would alias a cell: with two axes
+  of side d, the digits (0, d) give the code of (1, 0), and a negative
+  digit or a missing coordinate can land on any cell as well.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 import sys
@@ -696,32 +706,33 @@ class _Searcher:
         """A partition with every top of rank >= s, or None when there is
         none: singletons at s = 0, fibers at s = 1, and above that the
         orbit search, then the plain search on the same deadline unless
-        the counting prune refutes the root (module docstring, "Invariant
-        search").  An empty poset gets the empty partition."""
+        the counting prune refuted the orbit search's root, which it did
+        iff that search made one node and one prune (module docstring,
+        "Invariant search").  An empty poset gets the empty partition."""
         if s == 0:
             pairs = [(c, c) for c in self.codes]
         elif s == 1:
             pairs = self.fiber_partition()
         else:
+            nodes, prunes = stats.nodes, stats.prunes
             pairs = self.decide(s, deadline, stats, self.cycle)
             if (pairs is None and self.cycle is not None
-                    and self.branch_bottom(self.full_mask, s, self.cycle)
-                    is not None):
+                    and (stats.nodes - nodes, stats.prunes - prunes) != (1, 1)):
                 pairs = self.decide(s, deadline, stats)
         if pairs is None:
             return None
-        codes, elements = self.codes, self.poset.elements
+        monomial = self.poset.monomial
         return IntervalPartition(tuple(
-            Interval(elements[bisect.bisect_left(codes, u)],
-                     elements[bisect.bisect_left(codes, v)])
-            for u, v in pairs))
+            Interval(monomial(u), monomial(v)) for u, v in pairs))
 
     def intrinsic_upper_bound(self) -> int:
         """Largest s any partition could reach: each minimal poset element
         must start an interval, and by convexity its best top is the
-        highest-ranked of its multiples.  On a nonempty up-closed poset
-        the corner g is above every element, so the bound is n."""
+        highest-ranked of its multiples.  When the corner g is an element
+        it is above every element, so the bound is n, read off one bit."""
         ub = self.poset.arity
+        if self.full_mask >> self.top & 1:
+            return ub
         for c in _cells(self.minimal(self.full_mask)):
             while not self.multiples(c) & ~self.rank_below[ub]:
                 ub -= 1
@@ -774,13 +785,15 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
     """Independent certificate checker: interval containment in the poset,
     pairwise disjointness, exact cover, and min rank of tops >= s.  It
     calls nothing of the search: it builds its own mask of the element
-    codes, takes each interval's cells as its own box mask shifted by the
+    codes, tests each bottom and top against it by code after an in-box
+    test, takes each interval's cells as its own box mask shifted by the
     bottom's code, and strikes them from the mask of the elements left
     (module docstring, "Checking by masks").  The first failure is
     reported, in interval order and within an interval in lex order of its
     cells; an uncovered element is reported lex-least first."""
-    members, g = poset._position, poset.g
-    codes, strides, dims = poset.codes, poset.strides, poset.dims
+    g, lo, strides = poset.g, poset._lo, poset.strides
+    codes, monomial = poset.codes, poset.monomial
+    n, origin = len(g), sum(map(operator.mul, lo, strides))
     # One binary digit per cell, reversed in place to put the highest code
     # first; base 2 parses in linear time, where OR-ing bits into an int
     # one at a time is quadratic.
@@ -788,42 +801,62 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
     for c in codes:
         digits[c] = 49  # ord("1")
     digits.reverse()
-    left = int(digits, 2)
+    elements = left = int(digits, 2)
     del digits
     boxes: dict[tuple[int, ...], int] = {}
     for interval in partition:
         bottom, top = tuple(interval.bottom), tuple(interval.top)
-        index = members.get(bottom)
-        if index is None:
-            return CheckResult(False, f"bottom {bottom} is not a poset element")
-        if top not in members:
-            return CheckResult(False, f"top {top} is not a poset element")
-        if not all(map(operator.le, bottom, top)):
-            return CheckResult(False, f"bottom {bottom} does not divide top {top}")
-        rank = sum(map(operator.eq, top, g))
-        if rank < s:
-            return CheckResult(False, f"top {top} has rank {rank} < {s}")
+        # all checks at once: lo <= bottom <= top <= g, the codes of both
+        # name elements, and the top has rank >= s; on a failure they run
+        # again one at a time for the reason
+        if not (len(bottom) == len(top) == n
+                and all(map(operator.le, lo + bottom + top, bottom + top + g))
+                and elements >> (
+                    base := sum(map(operator.mul, bottom, strides)) - origin) & 1
+                and elements >> (
+                    sum(map(operator.mul, top, strides)) - origin) & 1
+                and sum(map(operator.eq, top, g)) >= s):
+            return CheckResult(False, _interval_failure(
+                poset, elements, bottom, top, s))
         extent = tuple(map(operator.sub, top, bottom))
         box = boxes.get(extent)
         if box is None:
             box = boxes[extent] = _box_mask(extent, strides)
-        base = codes[index]
         cells = box << base
         left ^= cells
         bad = left & cells  # the cells that were not left
         if bad:
-            offset = (bad & -bad).bit_length() - 1 - base
-            w = tuple(b + offset // t % d
-                      for b, t, d in zip(bottom, strides, dims))
-            if w not in members:
-                return CheckResult(
-                    False, f"interval [{bottom}, {top}] leaves the poset at {w}")
-            return CheckResult(False, f"double cover at {w}")
+            w = (bad & -bad).bit_length() - 1
+            if not elements >> w & 1:
+                return CheckResult(False, f"interval [{bottom}, {top}] "
+                                   f"leaves the poset at {monomial(w)}")
+            return CheckResult(False, f"double cover at {monomial(w)}")
     if left:
-        low = (left & -left).bit_length() - 1
         return CheckResult(False, "uncovered element "
-                           f"{poset.elements[bisect.bisect_left(codes, low)]}")
+                           f"{monomial((left & -left).bit_length() - 1)}")
     return CheckResult(True)
+
+
+def _interval_failure(poset: CharPoset, elements: int, bottom: Monomial,
+                      top: Monomial, s: int) -> str:
+    """Why `verify_partition` rejects the interval [bottom, top]: its
+    checks one at a time, in their order, on the element mask
+    `elements`."""
+    g, lo = poset.g, poset._lo
+
+    def member(u):
+        return (len(u) == len(g) and all(map(operator.le, lo, u))
+                and all(map(operator.le, u, g))
+                and elements >> poset._sub_code(u) & 1)
+
+    if not member(bottom):
+        return f"bottom {bottom} is not a poset element"
+    if not member(top):
+        return f"top {top} is not a poset element"
+    if not all(map(operator.le, bottom, top)):
+        return f"bottom {bottom} does not divide top {top}"
+    rank = sum(map(operator.eq, top, g))
+    return f"top {top} has rank {rank} < {s}"
 
 
 def verify_certificate(poset: CharPoset, partition: IntervalPartition,

@@ -15,12 +15,17 @@ Every element of I is a multiple of lo, the componentwise minimum of the
 generators of I, and so is every monomial between two elements.  The poset
 build therefore walks only the sub-box [lo, g], by dynamic programming over
 its mixed-radix cell codes: a cell is in an ideal iff it is a generator or
-a cell one step below it is in the ideal.  The search indexes its bitmasks
-by the same codes, where an interval is a shifted box shape (`partitions`).
+a cell one step below it is in the ideal.  The build keeps the codes of the
+elements only, read off the membership bytes in one pass of C loops that
+allocates nothing per cell.  The search and the certificate checker work on
+those codes, where an interval is a shifted box shape (`partitions`), and
+decode a monomial only where they report one (`CharPoset.monomial`); the
+element tuples and their index are built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -122,7 +127,11 @@ class CharPoset:
     exponent tuples and is a linear extension of divisibility.  They are
     found by the membership DP over the sub-box [lo, g] (module docstring).
     `codes[i]` is the cell code of element i in that sub-box, whose side
-    lengths are `dims` and whose axis strides are `strides`.
+    lengths are `dims` and whose axis strides are `strides`; `monomial`
+    decodes one code.  The build keeps only the codes: `elements`, the
+    element tuples, and `_position`, their index, are decoded from them on
+    first use by what reads them: `position`, `rho`, `level`, `dump` and
+    `in`.
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -144,16 +153,21 @@ class CharPoset:
                 if all(a <= b for a, b in zip(seed, g)):
                     cells[self._sub_code(seed)] |= flag
         _spread(cells, self.dims)
-        # product order over the sub-box is lex == mixed-radix code order
-        found = [(c, u) for c, (u, flags) in enumerate(zip(
-            itertools.product(*(range(a, b + 1) for a, b in zip(self._lo, g))),
-            cells)) if flags == 1]
-        self.codes: tuple[int, ...] = tuple(c for c, _ in found)
-        self.elements: tuple[Monomial, ...] = tuple(u for _, u in found)
-        self._position = {u: i for i, u in enumerate(self.elements)}
+        # the codes of the cells flagged I alone, in one pass of C loops
+        self.codes: tuple[int, ...] = tuple(itertools.compress(
+            itertools.count(), map((1).__eq__, cells)))
+
+    @functools.cached_property
+    def elements(self) -> tuple[Monomial, ...]:
+        """The elements in code order, decoded from the codes on first use."""
+        return tuple(map(self.monomial, self.codes))
+
+    @functools.cached_property
+    def _position(self) -> dict[Monomial, int]:
+        return {u: i for i, u in enumerate(self.elements)}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __contains__(self, u) -> bool:
         return tuple(u) in self._position
@@ -162,6 +176,11 @@ class CharPoset:
         """Mixed-radix code of u in the sub-box [lo, g], x1 most
         significant, so code order is lex order."""
         return sum((e - a) * w for e, a, w in zip(u, self._lo, self.strides))
+
+    def monomial(self, code: int) -> Monomial:
+        """The cell of the sub-box [lo, g] with this code, as a monomial."""
+        return tuple(a + code // t % d
+                     for a, t, d in zip(self._lo, self.strides, self.dims))
 
     def position(self, u: Monomial) -> int:
         """Index of u in the code-sorted element list."""

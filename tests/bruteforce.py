@@ -33,6 +33,20 @@ def box_interval(bottom, top):
     return list(product(*(range(a, b + 1) for a, b in zip(bottom, top))))
 
 
+def product_walk_poset(num_gens, den_gens, g):
+    """The characteristic poset by a product walk over the sub-box [lo, g],
+    lo the componentwise minimum of `num_gens` (g when there are none):
+    one exponent tuple per cell, in lex order, numbered by that order, and
+    kept when it lies in I and not in J.  Returns the (code, element)
+    pairs of the elements and every cell of the sub-box in order."""
+    lo = tuple(map(min, zip(*num_gens))) if num_gens else tuple(g)
+    cells = list(product(*(range(a, b + 1) for a, b in zip(lo, g))))
+    found = [(c, u) for c, u in enumerate(cells)
+             if member_of_ideal(num_gens, u)
+             and not member_of_ideal(den_gens, u)]
+    return found, cells
+
+
 def brute_force_sdepth(elements, g) -> int:
     """Maximize min rho(top) over ALL partitions of `elements` into
     divisibility intervals fully contained in `elements`.

@@ -11,8 +11,10 @@ element indices, and `_to_cells` translates their masks."""
 
 import hashlib
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -258,6 +260,40 @@ def test_intrinsic_upper_bound(oracle_posets, small_sdepths):
         if i in small_sdepths:
             assert ub >= small_sdepths[i]
     assert len(small_sdepths) > 100
+
+
+def _bound_by_minimal_elements(searcher):
+    """`intrinsic_upper_bound` without its corner test: the loop over the
+    minimal elements alone."""
+    ub = searcher.poset.arity
+    for c in partitions._cells(searcher.minimal(searcher.full_mask)):
+        while not searcher.multiples(c) & ~searcher.rank_below[ub]:
+            ub -= 1
+    return ub
+
+
+def _pool_posets():
+    """The posets of the benchmark's quotient pool: S/J in 4 and 5
+    variables and I/J in 4."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "quotient_pool.json").read_text(encoding="utf-8"))
+    return [build_poset(unit_ideal(q["n"]) if q["I"] is None
+                        else minimalize(q["I"], q["n"]),
+                        minimalize(q["J"], q["n"]))
+            for rows in pool.values() for q in rows]
+
+
+def test_upper_bound_from_the_corner_equals_the_loop(oracle_posets):
+    """When the corner g is an element the bound is n by one bit test; it
+    equals the minimal-element loop's value on the n <= 3 corpus and on the
+    quotient pool, corner or not."""
+    corners = 0
+    for p in oracle_posets + _pool_posets():
+        searcher = partitions._get_searcher(p)
+        assert (searcher.intrinsic_upper_bound()
+                == _bound_by_minimal_elements(searcher))
+        corners += p.g in p
+    assert corners > 100
 
 
 def _is_up_closed_walk(poset):
@@ -591,9 +627,12 @@ def test_orbit_walk_matches_the_plain_walk(n, gens, shift, kind, seed):
 
 
 def test_orbit_walk_scores_one_element_per_orbit():
-    """m in 10 variables, the whole scan: the counting prune scores 24
+    """m in 10 variables, the whole scan: the counting prune scores 19
     elements, one per orbit, where scoring every element of its walk
-    scored 235.  Each scored element looks up its covers once."""
+    scored 235 with the root walk of each refuted target run twice.  Each
+    scored element looks up its covers once, and the 5 targets refuted at
+    the root walk it once, as the plain search's hand-over reads the orbit
+    search's counters."""
     class Counting(dict):
         lookups = 0
 
@@ -604,7 +643,7 @@ def test_orbit_walk_scores_one_element_per_orbit():
     poset = build_poset(maximal_power(10, 1))
     partitions._get_searcher(poset)._covers = Counting()
     cert = partitions.sdepth_poset(poset)
-    assert (cert.s, cert.stats.nodes, Counting.lookups) == (5, 15, 24)
+    assert (cert.s, cert.stats.nodes, Counting.lookups) == (5, 15, 19)
 
 def test_exhausted_orbit_search_hands_over_to_the_plain_search():
     """S/(x1 x2 x3) is the cube {0, 1}^3 without x1 x2 x3.  At target 2 the

@@ -7,6 +7,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bruteforce import (
     brute_force_decomposition_check,
@@ -665,6 +667,7 @@ class _HoledPoset:
 
     def __init__(self, poset, hole):
         self.g, self.strides, self.dims = poset.g, poset.strides, poset.dims
+        self._lo, self.monomial = poset._lo, poset.monomial
         kept = [(c, u) for c, u in zip(poset.codes, poset.elements)
                 if u != hole]
         self.codes = tuple(c for c, _ in kept)
@@ -714,3 +717,105 @@ def test_brute_force_agreement_on_power_posets():
     for (n, k) in [(2, 1), (2, 2), (3, 1)]:
         p = maximal_power_poset(n, k)
         assert sdepth_poset(p).s == brute_force_sdepth(p.elements, p.g)
+
+
+# I = (x1 x2^2, x1^2 x2) and J = (x1^3 x2^3) walk the sub-box [(1, 1),
+# (3, 3)] of codes 3 (u1 - 1) + (u2 - 1), so each tuple below has the code
+# of an element although it lies outside the sub-box: (2, 0) that of
+# (1, 3), (1, 4) that of (2, 1), (3, -1) that of (2, 2), and (2,) and
+# (1, 3, 0) that of (1, 3) when the coordinates are zipped with the
+# strides.
+_SHIFTED = (minimalize([(1, 2), (2, 1)], 2), minimalize([(3, 3)], 2))
+_ALIASES = [(2, 0), (1, 4), (3, -1), (2,), (1, 3, 0)]
+
+
+def test_checker_rejects_endpoints_outside_the_sub_box():
+    """A bottom or a top outside the sub-box [lo, g] whose code names an
+    element is no element: the in-box test comes before the code, so the
+    checker gives the per-cell oracle's reason."""
+    poset = build_poset(*_SHIFTED)
+    assert poset._lo == (1, 1) and poset.g == (3, 3)
+    cert = sdepth_poset(poset)
+    pairs = [(iv.bottom, iv.top) for iv in cert.partition]
+    origin = sum(map(operator.mul, poset._lo, poset.strides))
+    for alias in _ALIASES:
+        code = sum(map(operator.mul, alias, poset.strides)) - origin
+        assert code in poset.codes and alias not in poset
+        for k, (b, t) in enumerate(pairs):
+            for edited in ((alias, t), (b, alias)):
+                tampered = pairs[:k] + [edited] + pairs[k + 1:]
+                reason = _same_verdict(poset, tampered, cert.s)
+                assert reason.endswith("is not a poset element")
+
+
+def _shifted_quotients():
+    """Random I/J with lo != 0 and, on the axes in `flat`, one-cell sides:
+    every generator of I and J has the base exponent there."""
+    n = st.integers(2, 3)
+    return n.flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, 2), min_size=n, max_size=n),
+        st.sets(st.integers(0, n - 1), max_size=n - 1),
+        st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                 min_size=1, max_size=3),
+        st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                 min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shifted_quotients(), st.randoms(use_true_random=False))
+def test_checker_agrees_with_the_per_cell_oracle_on_shifted_quotients(
+        quotient, rng):
+    """Certificates of random I/J with lo != 0 and one-cell sides, and
+    tampered copies with edits inside and outside the sub-box: the same
+    verdict and reason as the per-cell oracle."""
+    base, flat, num_offsets, den_offsets = quotient
+    n = len(base)
+
+    def lift(under, row):
+        return tuple(u + (0 if j in flat else e)
+                     for j, (u, e) in enumerate(zip(under, row)))
+
+    num = minimalize([lift(base, row) for row in num_offsets], n)
+    den = minimalize([lift(u, row) for u, row in zip(
+        itertools.cycle(num.generators), den_offsets)], n)
+    poset = build_poset(num, den)
+    assume(len(poset) > 0)
+    assert all(poset.dims[j] == 1 for j in flat)
+    cert = sdepth_poset(poset)
+    pairs = [(iv.bottom, iv.top) for iv in cert.partition]
+    assert _same_verdict(poset, pairs, cert.s) == ""
+    for tampered, s in _tampered_pairs(poset, pairs, cert.s, rng):
+        _same_verdict(poset, tampered, s)
+    lo, g = poset._lo, poset.g
+    k, j = rng.randrange(len(pairs)), rng.randrange(n)
+    b, t = pairs[k]
+    for edited in ((b[:j] + (lo[j] - 1,) + b[j + 1:], t),
+                   (b, t[:j] + (g[j] + 1,) + t[j + 1:]), (b[:-1], t)):
+        _same_verdict(poset, pairs[:k] + [edited] + pairs[k + 1:], cert.s)
+
+
+def test_sdepth_and_its_checks_decode_no_element_tuples(monkeypatch):
+    """Search, certificate and the checks work on codes: after
+    `sdepth_poset` and `verify_certificate` on m in 8 variables, and after
+    the Janet decomposition check on its cube poset, no poset holds its
+    element tuples or their index."""
+    poset = build_poset(maximal_power(8, 1))
+    cert = sdepth_poset(poset)
+    assert verify_certificate(poset, cert.partition, cert.s)
+    checked = []
+    original = partitions.verify_partition
+
+    def spy(cube, partition, s):
+        checked.append(cube)
+        return original(cube, partition, s)
+
+    monkeypatch.setattr(partitions, "verify_partition", spy)
+    ideal = minimalize([(2, 1, 0), (0, 2, 1), (1, 0, 2)], 3)
+    cap = sum(default_box(unit_ideal(3), ideal))
+    assert verify_stanley_decomposition(unit_ideal(3), ideal,
+                                        janet_decomposition(ideal), cap)
+    cube = checked[0]
+    cube_cert = sdepth_poset(cube)
+    assert verify_certificate(cube, cube_cert.partition, cube_cert.s)
+    for p in (poset, cube):
+        assert "elements" not in vars(p) and "_position" not in vars(p)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from bruteforce import product_walk_poset
 from sdepthlab import (
     CharPoset,
     alpha_enumerate,
@@ -192,3 +193,73 @@ def test_poset_build_takes_a_byte_per_box_cell():
         tracemalloc.stop()
     assert len(poset) == 6
     assert peak < 2 * cells
+
+
+def _assert_matches_product_walk(p):
+    found, cells = product_walk_poset(p.numerator.generators,
+                                      p.denominator.generators, p.g)
+    assert p.codes == tuple(c for c, _ in found)
+    assert p.elements == tuple(u for _, u in found)
+    assert p._position == {u: i for i, (_, u) in enumerate(found)}
+    assert [p.monomial(c) for c in range(len(cells))] == cells
+    assert len(p) == len(found)
+
+
+def test_codes_elements_and_index_match_the_product_walk(small_corpus):
+    """The codes read off the membership bytes, the element tuples and
+    their index decoded from them, and `monomial` on every cell of the
+    sub-box, against the product walk: S/I, I and I/J over the n <= 3
+    corpus, and the same in a box set with g."""
+    posets = 0
+    for ideal in small_corpus:
+        n = ideal.arity
+        shifted = minimalize([tuple(e + 1 for e in g)
+                              for g in ideal.generators], n)
+        for num, den, g in ((unit_ideal(n), ideal, None),
+                            (ideal, zero_ideal(n), None),
+                            (ideal, shifted, None),
+                            (ideal, zero_ideal(n), (3,) * n)):
+            if not num.is_zero:
+                _assert_matches_product_walk(build_poset(num, den, g))
+                posets += 1
+    assert posets > 1000
+
+
+def test_codes_match_the_product_walk_on_random_quotients():
+    """Random I/J with 3 to 5 variables, where lo is rarely 0 and some
+    sides have one cell, and random S/J in boxes larger than the default
+    one."""
+    rng = random.Random(20261019)
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        base = [rng.randint(0, 2) for _ in range(n)]
+        flat = rng.sample(range(n), rng.randint(0, 2))
+        gens = [[b + (0 if j in flat else rng.randint(0, 2))
+                 for j, b in enumerate(base)]
+                for _ in range(rng.randint(1, 3))]
+        if not any(map(any, gens)):
+            continue
+        num = minimalize([tuple(u) for u in gens], n)
+        den = minimalize([tuple(e + (0 if j in flat else rng.randint(0, 2))
+                                for j, e in enumerate(u))
+                          for u in num.generators], n)
+        _assert_matches_product_walk(build_poset(num, den))
+        g = tuple(e + rng.randint(0, 1) for e in default_box(num, den))
+        _assert_matches_product_walk(build_poset(unit_ideal(n), num, g))
+
+
+def test_poset_build_keeps_no_element_tuples():
+    """The build holds the codes and no tuple per element: m in 12
+    variables (4095 elements in 4096 cells) peaks within 48 bytes per
+    element and 2 per cell, which the element tuples and their index
+    alone would exceed several times over."""
+    ideal = maximal_power(12, 1)
+    tracemalloc.start()
+    try:
+        poset = build_poset(ideal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(poset) == 4095
+    assert "elements" not in vars(poset) and "_position" not in vars(poset)
+    assert peak < 48 * len(poset) + 2 * 2 ** 12
