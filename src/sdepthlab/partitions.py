@@ -201,8 +201,9 @@ calls nothing of the search:
   from the mask of the elements not yet covered.  A cell missing from
   that mask is no element or was covered before, and the lowest such bit
   is the lex-first bad cell; a bit left at the end is an uncovered
-  element.  The checker builds its own element mask from the codes and
-  its own box masks, each axis doubling the copies of the mask so far.
+  element.  The checker reads the poset's element mask (`CharPoset.mask`),
+  as it reads its codes, and builds its own box masks, each axis doubling
+  the copies of the mask so far; it still calls nothing of the search.
   It tests the bottom and top of each interval by code against that
   element mask, and only after the in-box test lo <= u <= g.  Inside the
   sub-box each digit u_j - lo_j lies in [0, dim_j), so distinct tuples get
@@ -311,22 +312,6 @@ class StanleyDecomposition:
 _FAILED_MEMO_BYTES = 4 << 20
 
 
-def _code_mask(codes) -> int:
-    """The mask with a bit at each of the ascending `codes`: one binary
-    digit per cell, reversed to put the highest code first.  Base 2 parses
-    in linear time, where OR-ing bits into an int one at a time is
-    quadratic.  The digits are set by a plain loop: on CPython 3.11 a
-    `map` over `bytearray.__setitem__` takes 2.5 times as long, as each
-    item pays for a call through the slot wrapper."""
-    if not codes:
-        return 0
-    digits = bytearray(b"0") * (codes[-1] + 1)
-    for c in codes:
-        digits[c] = 49  # ord("1")
-    digits.reverse()
-    return int(digits, 2)
-
-
 def _digit_sums(axes) -> list[int]:
     """sums[k]: the cells of a box whose digits sum to k, for the box with
     these (stride, side) axes, by doubling along each axis ("Levels by
@@ -365,8 +350,9 @@ class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls;
     `partition` settles one target on a deadline.
 
-    Masks are over sub-box cell codes (module docstring).  The set-up keeps
-    no mask per element: shapes are cached by code difference when first
+    Masks are over sub-box cell codes (module docstring); `full_mask` is
+    the poset's element mask (`CharPoset.mask`).  The set-up keeps no mask
+    per element: shapes are cached by code difference when first
     used, the covers and degree of an element and its orbit when the
     counting prune first walks it, and the cells that sigma^p fixes per
     period p.
@@ -389,7 +375,7 @@ class _Searcher:
         self.poset = poset
         self.codes = poset.codes
         self.m = len(self.codes)
-        self.full_mask = _code_mask(self.codes)
+        self.full_mask = poset.mask
         self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
         self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
         # level[d]: elements of degree d ("Levels by doubling"); cell 0 is
@@ -784,25 +770,17 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
                      s: int) -> CheckResult:
     """Independent certificate checker: interval containment in the poset,
     pairwise disjointness, exact cover, and min rank of tops >= s.  It
-    calls nothing of the search: it builds its own mask of the element
-    codes, tests each bottom and top against it by code after an in-box
-    test, takes each interval's cells as its own box mask shifted by the
-    bottom's code, and strikes them from the mask of the elements left
+    calls nothing of the search: it reads the poset's element mask as it
+    reads its codes, tests each bottom and top against it by code after an
+    in-box test, takes each interval's cells as its own box mask shifted by
+    the bottom's code, and strikes them from the mask of the elements left
     (module docstring, "Checking by masks").  The first failure is
     reported, in interval order and within an interval in lex order of its
     cells; an uncovered element is reported lex-least first."""
     g, lo, strides = poset.g, poset._lo, poset.strides
-    codes, monomial = poset.codes, poset.monomial
+    monomial = poset.monomial
     n, origin = len(g), sum(map(operator.mul, lo, strides))
-    # One binary digit per cell, reversed in place to put the highest code
-    # first; base 2 parses in linear time, where OR-ing bits into an int
-    # one at a time is quadratic.
-    digits = bytearray(b"0") * (codes[-1] + 1 if codes else 1)
-    for c in codes:
-        digits[c] = 49  # ord("1")
-    digits.reverse()
-    elements = left = int(digits, 2)
-    del digits
+    elements = left = poset.mask
     boxes: dict[tuple[int, ...], int] = {}
     for interval in partition:
         bottom, top = tuple(interval.bottom), tuple(interval.top)
@@ -816,8 +794,7 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
                 and elements >> (
                     sum(map(operator.mul, top, strides)) - origin) & 1
                 and sum(map(operator.eq, top, g)) >= s):
-            return CheckResult(False, _interval_failure(
-                poset, elements, bottom, top, s))
+            return CheckResult(False, _interval_failure(poset, bottom, top, s))
         extent = tuple(map(operator.sub, top, bottom))
         box = boxes.get(extent)
         if box is None:
@@ -837,25 +814,17 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
     return CheckResult(True)
 
 
-def _interval_failure(poset: CharPoset, elements: int, bottom: Monomial,
-                      top: Monomial, s: int) -> str:
+def _interval_failure(poset: CharPoset, bottom: Monomial, top: Monomial,
+                      s: int) -> str:
     """Why `verify_partition` rejects the interval [bottom, top]: its
-    checks one at a time, in their order, on the element mask
-    `elements`."""
-    g, lo = poset.g, poset._lo
-
-    def member(u):
-        return (len(u) == len(g) and all(map(operator.le, lo, u))
-                and all(map(operator.le, u, g))
-                and elements >> poset._sub_code(u) & 1)
-
-    if not member(bottom):
+    checks one at a time, in their order."""
+    if bottom not in poset:
         return f"bottom {bottom} is not a poset element"
-    if not member(top):
+    if top not in poset:
         return f"top {top} is not a poset element"
     if not all(map(operator.le, bottom, top)):
         return f"bottom {bottom} does not divide top {top}"
-    rank = sum(map(operator.eq, top, g))
+    rank = sum(map(operator.eq, top, poset.g))
     return f"top {top} has rank {rank} < {s}"
 
 
@@ -889,7 +858,7 @@ def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
     for u in uncovered:
         if u not in poset:
             raise ValueError(f"{tuple(u)} is not a poset element")
-        mask |= 1 << poset.codes[poset.position(u)]
+        mask |= 1 << poset._sub_code(u)
     return s == 0 or _get_searcher(poset).branch_bottom(mask, s) is not None
 
 

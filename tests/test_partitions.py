@@ -661,7 +661,7 @@ def test_box_mask_is_the_box_of_cells():
 
 
 class _HoledPoset:
-    """A poset's element index with one element taken out.  No CharPoset
+    """A poset's element mask with one element taken out.  No CharPoset
     has a hole between two of its elements (convexity), so this is the only
     way to reach the checker's "leaves the poset" branch."""
 
@@ -672,13 +672,13 @@ class _HoledPoset:
                 if u != hole]
         self.codes = tuple(c for c, _ in kept)
         self.elements = tuple(u for _, u in kept)
-        self._position = {u: i for i, u in enumerate(self.elements)}
+        self.mask = sum(1 << c for c in self.codes)
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, u):
-        return tuple(u) in self._position
+        return tuple(u) in self.elements
 
     def rho(self, u):
         return sum(map(operator.eq, u, self.g))
@@ -819,3 +819,25 @@ def test_sdepth_and_its_checks_decode_no_element_tuples(monkeypatch):
     assert verify_certificate(cube, cube_cert.partition, cube_cert.s)
     for p in (poset, cube):
         assert "elements" not in vars(p) and "_position" not in vars(p)
+
+
+def test_lookups_and_the_sdepth_path_read_one_element_mask():
+    """`counting_prune`, `in`, `position` and `rho` test membership by the
+    in-box test and the codes: on m in 8 variables they decode no element
+    tuple, and the poset has no element index.  After
+    `sdepth_poset` the search reads the poset's mask itself, which the
+    checker reads too, so the sdepth path builds it once."""
+    poset = build_poset(maximal_power(8, 1))
+    assert not hasattr(poset, "_position")
+    g, x1 = poset.g, (1,) + (0,) * 7
+    assert g in poset and x1 in poset and (0,) * 8 not in poset
+    assert (poset.position(x1), poset.position(g)) == (127, 254)
+    assert (poset.rho(x1), poset.rho(g)) == (1, 8)
+    assert [counting_prune(poset, s, map(poset.monomial, poset.codes))
+            for s in range(9)] == [True] * 5 + [False] * 4
+    assert "elements" not in vars(poset)
+    fresh = build_poset(maximal_power(8, 1))
+    cert = sdepth_poset(fresh)
+    assert partitions._get_searcher(fresh).full_mask is fresh.mask
+    assert verify_certificate(fresh, cert.partition, cert.s)
+    assert "elements" not in vars(fresh)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -195,21 +196,65 @@ def test_poset_build_takes_a_byte_per_box_cell():
     assert peak < 2 * cells
 
 
+def _assert_no_element(p, u):
+    """u is not in p, and `position` and `rho` raise KeyError naming it."""
+    assert u not in p
+    for lookup in (p.position, p.rho):
+        try:
+            lookup(u)
+        except KeyError as error:
+            assert error.args == (f"{u} is not a poset element",)
+        else:
+            raise AssertionError(f"{lookup.__name__} accepted {u}")
+
+
+def _aliases(p, u):
+    """Tuples outside the sub-box [lo, g] whose code, zipped with the
+    strides, names the cell u: a unit carried into or borrowed from the
+    next higher axis, so one coordinate falls below lo or above g; and u
+    with a coordinate dropped or added."""
+    n = len(u)
+    for j in range(1, n):
+        for carry in (1, -1):
+            alias = list(u)
+            alias[j - 1] += carry
+            alias[j] -= carry * p.dims[j]
+            yield tuple(alias), True
+    yield u[:-1], False
+    yield u + (0,), False
+
+
 def _assert_matches_product_walk(p):
     found, cells = product_walk_poset(p.numerator.generators,
                                       p.denominator.generators, p.g)
     assert p.codes == tuple(c for c, _ in found)
     assert p.elements == tuple(u for _, u in found)
-    assert p._position == {u: i for i, (_, u) in enumerate(found)}
+    assert p.mask == sum(1 << c for c, _ in found)
     assert [p.monomial(c) for c in range(len(cells))] == cells
     assert len(p) == len(found)
+    index = {u: i for i, (_, u) in enumerate(found)}
+    for u in cells:
+        if u in index:
+            assert u in p
+            assert p.position(u) == index[u]
+            assert p.rho(u) == sum(map(operator.eq, u, p.g))
+        else:
+            _assert_no_element(p, u)
+    # the aliases of the least, a middle and the greatest element
+    for i in {0, len(found) // 2, len(found) - 1} if found else ():
+        u = found[i][1]
+        for alias, same_code in _aliases(p, u):
+            assert not same_code or p._sub_code(alias) == p._sub_code(u)
+            _assert_no_element(p, alias)
 
 
 def test_codes_elements_and_index_match_the_product_walk(small_corpus):
     """The codes read off the membership bytes, the element tuples and
-    their index decoded from them, and `monomial` on every cell of the
-    sub-box, against the product walk: S/I, I and I/J over the n <= 3
-    corpus, and the same in a box set with g."""
+    the element mask built from them, `monomial` on every cell of the
+    sub-box, and `in`, `position` and `rho` on every cell and on tuples
+    outside the sub-box that alias an element, against the product walk:
+    S/I, I and I/J over the n <= 3 corpus, and the same in a box set with
+    g."""
     posets = 0
     for ideal in small_corpus:
         n = ideal.arity
