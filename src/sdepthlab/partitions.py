@@ -76,30 +76,27 @@ masks, and finds the minimal uncovered elements by shifts:
   it lies, and the ceiling cells of each axis are one periodic mask.  So
   the rank classes take one step per axis: with R_r the elements on
   exactly r of the ceilings so far, ceiling C makes the new R_r equal to
-  R_r & ~C | R_(r-1) & C.  The need s - rho(c) is read off the classes
-  as a table with one byte per cell: each class spread to one byte per
-  bit, times n - r, summed, holds n - rho(c) at byte c.  That corank fits
-  a byte on every poset, so no sum carries into the next byte: a one-cell
-  axis puts every cell on its ceiling, and at most 62 axes have two cells
-  or more, as the sub-box has at most sys.maxsize cells.
+  R_r & ~C | R_(r-1) & C.  The counting prune reads the rank of an
+  element it walks off the digits of its code, the digits at the ceiling
+  of their axis, so no Python loop runs over the elements for ranks.
 
   Levels by doubling.  The degree of a cell is sum(lo) plus the sum of
-  its digits.  The cells of each digit sum grow from cell 0, of digit sum
-  0, by doubling along each axis as the checker's box masks do, with each
-  copy carrying its degree: with L[k] the cells of digit sum k so far, a
-  shift by `step` cells along an axis of stride t makes the new L[k]
-  equal to L[k] | L[k - step] << step * t.  The shift carries nothing,
-  as the copies stay inside the side of the axis.  The step is
-  min(copies, side - copies), so on a side that is not a power of two the
-  last step lays copies over cells already there.  The OR still puts each
-  cell in one class: a cell comes from L[k] only if its digits sum to k,
-  and from L[k - step] << step * t only if they sum to k - step before
-  the shift adds step to one digit, so to k again.  ANDed with the
-  elements and offset by sum(lo), L[k] is the level of degree
-  sum(lo) + k, up to sum(g).  One empty level more makes sum(g) + 2, so
-  the counting prune reads level[d + 1] with no bound test at every
-  degree d.  The degree of a walked element comes from the digits of its
-  code, so no Python loop runs over the elements for levels either.
+  its digits, so the cells of one digit sum are those of one degree.
+  They grow from cell 0, of digit sum 0, by doubling along each axis as
+  the checker's box masks do, with each copy carrying its digit sum:
+  with L[k] the cells of digit sum k so far, a shift by `step` cells
+  along an axis of stride t makes the new L[k] equal to L[k] | L[k -
+  step] << step * t.  The shift carries nothing, as the copies stay
+  inside the side of the axis.  The step is min(copies, side - copies),
+  so on a side that is not a power of two the last step lays copies over
+  cells already there.  The OR still puts each cell in one class: a cell
+  comes from L[k] only if its digits sum to k, and from L[k - step] <<
+  step * t only if they sum to k - step before the shift adds step to one
+  digit, so to k again.  ANDed with the elements, L[k] is a level.  One
+  empty level at the end lets the counting prune read level[d + 1] with
+  no bound test at every digit sum d of a walked element, which it reads
+  off the digits of its code, so no Python loop runs over the elements
+  for levels either.
 
   Memo before prune.  The search consults its failed-state memo before
   the prune.  A state enters the memo only after it passed the prune at
@@ -226,7 +223,7 @@ from .monomials import (
     maximal_power,  # noqa: F401  (public name, wrapped by perfbench/tracing.py)
     zero_ideal,
 )
-from .posets import CharPoset, build_poset, default_box
+from .posets import CharPoset, build_poset, code_mask, default_box
 
 
 class SearchTimeout(Exception):
@@ -328,16 +325,6 @@ def _digit_sums(axes) -> list[int]:
     return sums
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _lanes(mask: int) -> int:
-    """`mask` spread to one byte per bit: byte c of the result is bit c of
-    `mask`, by the C loops of bin, translate and from_bytes."""
-    return int.from_bytes(bin(mask)[:1:-1].encode().translate(_BIT_BYTES),
-                          "little")
-
-
 def _cells(mask: int):
     """The cell codes of the set bits of `mask`, lowest first."""
     while mask:
@@ -351,16 +338,16 @@ class _Searcher:
     `partition` settles one target on a deadline.
 
     Masks are over sub-box cell codes (module docstring); `full_mask` is
-    the poset's element mask (`CharPoset.mask`).  The set-up keeps no mask
-    per element: shapes are cached by code difference when first
-    used, the covers and degree of an element and its orbit when the
-    counting prune first walks it, and the cells that sigma^p fixes per
-    period p.
+    the poset's element mask (`CharPoset.mask`).  The set-up keeps masks
+    only, none per element: shapes are cached by code difference when
+    first used, the `record` of an element, its covers, digit sum and
+    rank, and its orbit when the counting prune first walks it, and the
+    cells that sigma^p fixes per period p.
     Level and rank masks let the counting prune count by popcount and the
-    candidates filter by rank and run in level order; the level masks come
-    from doubling over the sub-box ("Levels by doubling"), and the rank
-    masks and the `corank` table, n - rho by cell code, from the ceiling
-    masks ("Ranks by ceilings"), with no loop over elements.  `passes`
+    candidates filter by rank and run in level order; the level masks,
+    one per digit sum, come from doubling over the sub-box ("Levels by
+    doubling"), and the rank masks from the ceiling masks ("Ranks by
+    ceilings"), with no loop over elements.  `passes`
     holds the (shift, keep) pairs of the doubling passes of the
     up-closure, `keep` the cells that the shift moves to an element
     without carrying past the ceiling of its axis, and `steps` the
@@ -378,13 +365,11 @@ class _Searcher:
         self.full_mask = poset.mask
         self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
         self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
-        # level[d]: elements of degree d ("Levels by doubling"); cell 0 is
-        # the corner lo
-        self.lo_degree = sum(poset.g) - sum(dim - 1 for dim in poset.dims)
-        self.level = [0] * self.lo_degree + [
-            cells & self.full_mask for cells in _digit_sums(self._axes)] + [0]
+        # level[k]: elements of digit sum k ("Levels by doubling")
+        self.level = [cells & self.full_mask
+                      for cells in _digit_sums(self._axes)] + [0]
         self._shapes = {0: 1}
-        self._covers: dict[int, tuple[int, int]] = {}  # covers, degree
+        self._records: dict[int, tuple[int, int, int]] = {}
         self._orbits: dict[int, tuple[int, int]] = {}
         self._fixed: dict[int, int] = {}
         width = self.full_mask.bit_length()
@@ -413,16 +398,13 @@ class _Searcher:
             self.steps += axis_passes[:1]
             self.lines.append((stride, dim, ceiling, axis_passes))
         # ranks[r]: elements on exactly r ceilings ("Ranks by ceilings");
-        # rank_below[s]: elements of rank < s; corank[c]: n - rho(c)
+        # rank_below[s]: elements of rank < s
         ranks = [self.full_mask]
         for _, _, ceiling, _ in self.lines:
             ranks = [below & ~ceiling | on & ceiling
                      for below, on in zip(ranks + [0], [0] + ranks)]
         self.rank_below = list(itertools.accumulate(
             ranks, operator.or_, initial=0))
-        self.corank = sum((poset.arity - r) * _lanes(mask)
-                          for r, mask in enumerate(ranks) if mask
-                          ).to_bytes(width, "little")
         self._candidates_cache: dict[tuple[int, int, bool],
                                      list[tuple[int, int]]] = {}
         self.cycle = self._variable_cycle()
@@ -468,10 +450,16 @@ class _Searcher:
         """The elements one step above c: one shift of its bit per axis."""
         return sum((1 << c & keep) << shift for shift, keep in self.steps)
 
-    def degree(self, c: int) -> int:
-        """The degree of the element at c, from the digits of its code."""
-        return self.lo_degree + sum(c // stride % dim
-                                    for stride, dim in self._axes)
+    def record(self, c: int) -> tuple[int, int, int]:
+        """The covers, digit sum and rank of the element at c, the last two
+        from one pass over the digits of its code: the rank counts the
+        digits at the ceiling of their axis."""
+        total = rank = 0
+        for stride, dim in self._axes:
+            digit = c // stride % dim
+            total += digit
+            rank += digit == dim - 1
+        return self.covers(c), total, rank
 
     def _candidates(self, c: int, s: int, cycle=None) -> list[tuple[int, int]]:
         """Tops of the intervals at bottom c with rank >= s, in decreasing
@@ -551,12 +539,15 @@ class _Searcher:
             return (uncovered & -uncovered).bit_length() - 1
         needs: dict[int, int] = {}
         best, best_slack, best_deg = -1, 0, 0
-        base = s - self.poset.arity  # need = s - rho = base + corank
-        corank, known = self.corank, self._covers
+        known = self._records
         while walk:
             low = walk & -walk
             c = low.bit_length() - 1
-            need = base + corank[c]
+            entry = known.get(c)
+            if entry is None:
+                entry = known[c] = self.record(c)
+            covers, d, rank = entry
+            need = s - rank
             if cycle is None:
                 walk ^= low
                 forced = need
@@ -564,10 +555,6 @@ class _Searcher:
                 orbit, members = self.orbit_cells(c, cycle)
                 walk ^= orbit
                 forced = need * members
-            entry = known.get(c)
-            if entry is None:
-                entry = known[c] = self.covers(c), self.degree(c)
-            covers, d = entry
             slack = (covers & uncovered).bit_count() - need
             if slack < 0:
                 return None
@@ -854,11 +841,12 @@ def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
     """
     if not 0 <= s <= poset.arity:
         raise ValueError(f"target {s} outside [0, {poset.arity}]")
-    mask = 0
+    codes = []
     for u in uncovered:
         if u not in poset:
             raise ValueError(f"{tuple(u)} is not a poset element")
-        mask |= 1 << poset._sub_code(u)
+        codes.append(poset._sub_code(u))
+    mask = code_mask(codes)
     return s == 0 or _get_searcher(poset).branch_bottom(mask, s) is not None
 
 

@@ -110,6 +110,21 @@ def _spread(cells: bytearray, dims) -> None:
                 cells[c] |= cells[c - stride]
 
 
+def code_mask(codes) -> int:
+    """The mask with a bit at each cell code of the sequence `codes`, in
+    any order, repeats allowed: one binary digit per cell, reversed to put
+    the highest code first.  Base 2 parses in linear time, where OR-ing
+    bits into an int one at a time is quadratic.  The digits are set by a
+    plain loop: on CPython 3.11 a `map` over `bytearray.__setitem__` takes
+    2.5 times as long, as each item pays for a call through the slot
+    wrapper."""
+    digits = bytearray(b"0") * (max(codes, default=0) + 1)
+    for c in codes:
+        digits[c] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
+
 @dataclass(frozen=True)
 class LevelTable:
     """Per-degree element counts of a poset."""
@@ -162,17 +177,8 @@ class CharPoset:
     @functools.cached_property
     def mask(self) -> int:
         """The element mask, a bit at each element's code, built on first
-        use: one binary digit per cell, reversed to put the highest code
-        first.  Base 2 parses in linear time, where OR-ing bits into an int
-        one at a time is quadratic.  The digits are set by a plain loop: on
-        CPython 3.11 a `map` over `bytearray.__setitem__` takes 2.5 times
-        as long, as each item pays for a call through the slot wrapper."""
-        codes = self.codes
-        digits = bytearray(b"0") * (codes[-1] + 1 if codes else 1)
-        for c in codes:
-            digits[c] = 49  # ord("1")
-        digits.reverse()
-        return int(digits, 2)
+        use by `code_mask`."""
+        return code_mask(self.codes)
 
     @functools.cached_property
     def elements(self) -> tuple[Monomial, ...]:

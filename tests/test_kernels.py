@@ -117,8 +117,9 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
     the poset (convexity) and is shape(v - u) << u; the covers against the
     one-step multiples; the candidates against the divisibility-and-rank
     filter in (-deg, lex) order, each with the shape of its interval; one
-    level mask per degree up to sum(g) + 1; and the degree that the
-    counting prune caches for every element it walks."""
+    level mask per digit sum, from 0 to sum(g) - sum(lo) + 1; and the
+    digit sum, sum(u) - sum(lo), that the counting prune caches for every
+    element it walks."""
     posets = oracle_posets + _doubling_posets()
     assert any(p._lo != (0,) * p.arity for p in posets[-4:])
     convex_pairs = 0
@@ -129,11 +130,12 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
         rho = [p.rho(u) for u in elems]
         divides = [[divides_raw(u, v) for v in elems] for u in elems]
         codes = p.codes
-        assert len(searcher.level) == sum(p.g) + 2
+        assert len(searcher.level) == sum(p.g) - sum(p._lo) + 2
         for c in codes:  # walks c unless c has the full rank n
             searcher.branch_bottom(1 << c, p.arity)
-        assert {c: deg for c, (_, deg) in searcher._covers.items()} == {
-            c: sum(u) for c, u, r in zip(codes, elems, rho) if r < p.arity}
+        assert {c: k for c, (_, k, _) in searcher._records.items()} == {
+            c: sum(u) - sum(p._lo)
+            for c, u, r in zip(codes, elems, rho) if r < p.arity}
         for i, u in enumerate(elems):
             multiples = [j for j in range(len(elems)) if divides[i][j]]
             assert searcher.multiples(codes[i]) == _to_cells(
@@ -191,9 +193,10 @@ def _power(permutation, c, k):
 
 
 def test_rank_and_fixed_point_masks_match_their_definitions(oracle_posets):
-    """The rank classes and the corank table read off the ceiling masks
-    ("Ranks by ceilings"), and the level masks, against `CharPoset.rho`
-    and the degree of each element; the cells that sigma^p fixes against
+    """The rank classes read off the ceiling masks ("Ranks by ceilings"),
+    the rank in the record of every element the counting prune walks, and
+    the level masks, against `CharPoset.rho` and the digit sum of each
+    element; the cells that sigma^p fixes against
     p steps of the cycle.  The posets include one-cell axes, the sparse
     S/m^2 in 9 variables, an empty poset and posets the cycle fixes."""
     posets = oracle_posets + _doubling_posets() + [
@@ -214,10 +217,12 @@ def test_rank_and_fixed_point_masks_match_their_definitions(oracle_posets):
         for s in range(n + 2):
             assert searcher.rank_below[s] == sum(
                 1 << c for c, r in zip(codes, rho) if r < s)
-        for d, level in enumerate(searcher.level):
+        for k, level in enumerate(searcher.level):
             assert level == sum(1 << c for c, u in zip(codes, p.elements)
-                                if sum(u) == d)
-        assert [n - searcher.corank[c] for c in codes] == rho
+                                if sum(u) - sum(p._lo) == k)
+        for c in codes:  # walks c, as no element has rank above n
+            searcher.branch_bottom(1 << c, n + 1)
+        assert [searcher._records[c][2] for c in codes] == rho
         cycle = searcher.cycle
         if cycle is None:
             continue
@@ -630,7 +635,7 @@ def test_orbit_walk_scores_one_element_per_orbit():
     """m in 10 variables, the whole scan: the counting prune scores 19
     elements, one per orbit, where scoring every element of its walk
     scored 235 with the root walk of each refuted target run twice.  Each
-    scored element looks up its covers once, and the 5 targets refuted at
+    scored element looks up its record once, and the 5 targets refuted at
     the root walk it once, as the plain search's hand-over reads the orbit
     search's counters."""
     class Counting(dict):
@@ -641,7 +646,7 @@ def test_orbit_walk_scores_one_element_per_orbit():
             return super().get(key)
 
     poset = build_poset(maximal_power(10, 1))
-    partitions._get_searcher(poset)._covers = Counting()
+    partitions._get_searcher(poset)._records = Counting()
     cert = partitions.sdepth_poset(poset)
     assert (cert.s, cert.stats.nodes, Counting.lookups) == (5, 15, 19)
 

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from bruteforce import product_walk_poset
+from sdepthlab.posets import code_mask
 from sdepthlab import (
     CharPoset,
     alpha_enumerate,
@@ -308,3 +309,17 @@ def test_poset_build_keeps_no_element_tuples():
     assert len(poset) == 4095
     assert "elements" not in vars(poset) and "_position" not in vars(poset)
     assert peak < 48 * len(poset) + 2 * 2 ** 12
+
+
+def test_code_mask_sets_one_bit_per_distinct_code():
+    """`code_mask` against OR-ing the bits of the distinct codes, on
+    codes out of order, repeated, a single code 0 and none at all; the
+    element mask of a poset is the mask of its codes."""
+    rng = random.Random(7)
+    inputs = [[], [0], [0, 0], [5, 3, 5, 0], [1, 70, 70, 2, 64]]
+    inputs += [[rng.randrange(300) for _ in range(rng.randrange(1, 40))]
+               for _ in range(20)]
+    for codes in inputs:
+        assert code_mask(codes) == sum(1 << c for c in set(codes))
+    poset = build_poset(minimalize([(1, 2, 0), (0, 1, 3)], 3))
+    assert poset.mask == code_mask(poset.codes)

@@ -7,12 +7,14 @@ in place: `partitions.build_poset`, looked up at call time by
 tracer calls to force the search set-up; and `partitions.exists_partition`,
 called with its budget and stats by keyword.  The partitions.verify span
 needs `verify_certificate` to reach `partitions.verify_partition` by its
-module name.  The package metadata must name the engine version, and the
-sources must parse as the oldest Python the metadata allows."""
+module name.  The package metadata must name the engine version, the
+sources must parse as the oldest Python the metadata allows, and they
+import nothing outside the standard library."""
 
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 from sdepthlab import ENGINE_VERSION
@@ -65,3 +67,23 @@ def test_sources_parse_as_python_3_10():
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+def test_sources_import_the_standard_library_only():
+    """The package has no third-party runtime dependency: every absolute
+    import in its sources names a standard-library module, and imports
+    within the package are relative."""
+    sources = sorted((ROOT / "src" / "sdepthlab").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name}")
