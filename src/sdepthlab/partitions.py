@@ -98,11 +98,16 @@ masks, and finds the minimal uncovered elements by shifts:
   off the digits of its code, so no Python loop runs over the elements
   for levels either.
 
-  Memo before prune.  The search consults its failed-state memo before
-  the prune.  A state enters the memo only after it passed the prune at
-  the same target, and the prune is a function of the state and the
-  target, so a memo hit would have passed the prune again: the order
-  changes no node, prune or partition.
+  Memo in the parent.  The loop over the tops of a state settles each
+  child state before any call for it: it counts the child's node, checks
+  the deadline, then consults the failed-state memo, so a memo hit costs
+  no call.  The root, whose memo is empty, is counted and checked before
+  the first call, and the prune runs only in the call, after the memo.
+  A state enters the memo only after it passed the prune at the same
+  target, and the prune is a function of the state and the target, so a
+  memo hit would have passed the prune again: the order changes no node,
+  prune or partition, and the counters at a timeout are those that one
+  call per state, memo first, would have left.
 
   Invariant search.  When the cycle sigma: x1 -> x2 -> ... -> xn -> x1 maps
   the generators of I, those of J and the corner g to themselves, it maps
@@ -341,8 +346,10 @@ class _Searcher:
     the poset's element mask (`CharPoset.mask`).  The set-up keeps masks
     only, none per element: shapes are cached by code difference when
     first used, the `record` of an element, its covers, digit sum and
-    rank, and its orbit when the counting prune first walks it, and the
-    cells that sigma^p fixes per period p.
+    rank, and its orbit when the counting prune first walks it, the cells
+    that sigma^p fixes per period p, and the candidate tops of a bottom
+    when the search first branches on it, in one table per target and
+    cycle keyed by bottom code, which `decide` fetches once.
     Level and rank masks let the counting prune count by popcount and the
     candidates filter by rank and run in level order; the level masks,
     one per digit sum, come from doubling over the sub-box ("Levels by
@@ -405,10 +412,8 @@ class _Searcher:
                      for below, on in zip(ranks + [0], [0] + ranks)]
         self.rank_below = list(itertools.accumulate(
             ranks, operator.or_, initial=0))
-        self._candidates_cache: dict[tuple[int, int, bool],
-                                     list[tuple[int, int]]] = {}
+        self._tops: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
         self.cycle = self._variable_cycle()
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * self.m + 500))
 
     def _variable_cycle(self):
         """The action on cell codes of x1 -> x2 -> ... -> xn -> x1 when it
@@ -465,10 +470,10 @@ class _Searcher:
         """Tops of the intervals at bottom c with rank >= s, in decreasing
         degree, then lex order, each with the shape of its interval.  Under
         the cell permutation `cycle`, only the tops whose images are equal
-        or disjoint (module docstring, "Orbit overlap"); those lists are
-        cached apart."""
-        key = (c, s, cycle is None)
-        cached = self._candidates_cache.get(key)
+        or disjoint (module docstring, "Orbit overlap").  Cached in the
+        table of (s, cycle), keyed by c, which `decide` reads directly."""
+        table = self._tops.setdefault((s, cycle), {})
+        cached = table.get(c)
         if cached is None:
             tops = self.multiples(c) & ~self.rank_below[s]
             if cycle is not None:
@@ -485,7 +490,7 @@ class _Searcher:
             cached = [(v, get(v - c) or self.shape(v - c))
                       for level in reversed(self.level) if tops & level
                       for v in _cells(tops & level)]
-            self._candidates_cache[key] = cached
+            table[c] = cached
         return cached
 
     def fixed(self, p: int) -> int:
@@ -606,8 +611,11 @@ class _Searcher:
         search").  Returns (bottom, top) cell-code pairs or None if none
         exists.  Each node branches on the bottom that `branch_bottom`
         returns with the prune's verdict, and each top places the orbit of
-        its interval.  SearchTimeout once `time.monotonic()` passes
-        `deadline`.
+        its interval; the tops of a bottom come from the candidate table
+        of (s, cycle), fetched once.  SearchTimeout once
+        `time.monotonic()` passes `deadline`.  The recursion limit is
+        raised to 2m + 500 for the search, one frame per interval placed,
+        and restored on the way out, also on SearchTimeout.
 
         Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
         once it is full it takes no more states.  The memo only spares
@@ -616,44 +624,61 @@ class _Searcher:
         times what the hardest solved instances of the benchmark ladders
         fill (0.7 MiB for S/I quotients of about 70 elements and 13k nodes)
         and holds about 11k masks at |P| = 2047; unbounded, the memo grew
-        RSS by about 90 MB in 40 s on m with n = 12.  The memo is consulted
-        before the prune, which changes no counter (module docstring).
+        RSS by about 90 MB in 40 s on m with n = 12.  The parent's loop
+        counts each child state and looks it up in the memo before the
+        call that runs the prune (module docstring, "Memo in the parent").
         """
+        if not self.full_mask:
+            return []
         failed: set[int] = set()
         # bytes per entry: no mask is larger than the full one, plus 64 for
         # its 16-byte set slot in a table at least a quarter full
         capacity = _FAILED_MEMO_BYTES // (sys.getsizeof(self.full_mask) + 64)
+        table = self._tops.setdefault((s, cycle), {})
+        message = f"time ran out with target {s} open"
 
         def rec(uncovered: int) -> list[tuple[int, int]] | None:
-            if uncovered == 0:
-                return []
-            stats.nodes += 1
-            if time.monotonic() > deadline:
-                raise SearchTimeout(
-                    f"time ran out with target {s} open", stats)
-            if uncovered in failed:
-                return None
+            """Search a counted, nonempty state that is not in the memo."""
             w = self.branch_bottom(uncovered, s, cycle)
             if w is None:
                 stats.prunes += 1
                 return None
+            tops = table.get(w)
+            if tops is None:
+                tops = self._candidates(w, s, cycle)
             # [w, v] is shape << w, which fits iff uncovered >> w holds shape
             free = uncovered >> w
-            for v, shape in self._candidates(w, s, cycle):
+            for v, shape in tops:
                 if free & shape != shape:
                     continue
                 placed, pairs = shape << w, ((w, v),)
                 if cycle is not None:
                     placed, pairs = self.orbit(w, v, placed, cycle)
-                rest = rec(uncovered ^ placed)
-                if rest is not None:
-                    rest.extend(reversed(pairs))
-                    return rest
+                rest = uncovered ^ placed
+                if not rest:
+                    return list(reversed(pairs))
+                stats.nodes += 1
+                if time.monotonic() > deadline:
+                    raise SearchTimeout(message, stats)
+                if rest in failed:
+                    continue
+                chosen = rec(rest)
+                if chosen is not None:
+                    chosen.extend(reversed(pairs))
+                    return chosen
             if len(failed) < capacity:
                 failed.add(uncovered)
             return None
 
-        chosen = rec(self.full_mask)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 2 * self.m + 500))
+        try:
+            stats.nodes += 1
+            if time.monotonic() > deadline:
+                raise SearchTimeout(message, stats)
+            chosen = rec(self.full_mask)
+        finally:
+            sys.setrecursionlimit(limit)
         if chosen is None:
             return None
         chosen.reverse()
@@ -843,9 +868,10 @@ def counting_prune(poset: CharPoset, s: int, uncovered) -> bool:
         raise ValueError(f"target {s} outside [0, {poset.arity}]")
     codes = []
     for u in uncovered:
-        if u not in poset:
+        code = poset.code(u)
+        if code is None:
             raise ValueError(f"{tuple(u)} is not a poset element")
-        codes.append(poset._sub_code(u))
+        codes.append(code)
     mask = code_mask(codes)
     return s == 0 or _get_searcher(poset).branch_bottom(mask, s) is not None
 

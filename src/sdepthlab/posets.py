@@ -147,8 +147,9 @@ class CharPoset:
     lengths are `dims` and whose axis strides are `strides`; `monomial`
     decodes one code.  The build keeps only the codes.  `mask`, read by the
     search and the checker, and `elements`, read by `level`, `level_counts`
-    and `dump`, are built from them on first use; `in`, `position` and
-    `rho` bisect the codes.
+    and `dump`, are built from them on first use.  `code` encodes a
+    monomial once and bisects the codes for it, for `in`, `position`,
+    `rho` and `partitions.counting_prune`.
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -161,6 +162,7 @@ class CharPoset:
         self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
         self.dims = tuple(b - a + 1 for a, b in zip(self._lo, g))
         self.strides = _weights(self.dims)
+        self._origin = sum(map(operator.mul, self._lo, self.strides))
         # Membership DP: bit 0 marks I, bit 1 marks J, one byte per cell.  A
         # generator seeds lcm(gen, lo), its least multiple inside the sub-box.
         cells = bytearray(math.prod(self.dims))
@@ -189,21 +191,26 @@ class CharPoset:
         return len(self.codes)
 
     def __contains__(self, u) -> bool:
-        """The in-box test lo <= u <= g, as outside the sub-box a code can
-        alias an element's, then a bisect on `codes`, which copies nothing
-        where a bit test of `mask` copies the mask above the bit."""
+        return self.code(u) is not None
+
+    def code(self, u) -> int | None:
+        """The cell code of u, or None when u is no element: the in-box
+        test lo <= u <= g, as outside the sub-box a code can alias an
+        element's, then a bisect on `codes`, which copies nothing where a
+        bit test of `mask` copies the mask above the bit."""
         u = tuple(u)
         if len(u) != self.arity or not all(
                 map(operator.le, self._lo + u, u + self.g)):
-            return False
+            return None
         code = self._sub_code(u)
         i = bisect.bisect_left(self.codes, code)
-        return i < len(self.codes) and self.codes[i] == code
+        return code if i < len(self.codes) and self.codes[i] == code else None
 
     def _sub_code(self, u: Monomial) -> int:
         """Mixed-radix code of u in the sub-box [lo, g], x1 most
-        significant, so code order is lex order."""
-        return sum((e - a) * w for e, a, w in zip(u, self._lo, self.strides))
+        significant, so code order is lex order: the weighted sum of its
+        exponents less that of lo."""
+        return sum(map(operator.mul, u, self.strides)) - self._origin
 
     def monomial(self, code: int) -> Monomial:
         """The cell of the sub-box [lo, g] with this code, as a monomial."""
@@ -212,10 +219,10 @@ class CharPoset:
 
     def position(self, u: Monomial) -> int:
         """Index of u in the code-sorted element list."""
-        u = tuple(u)
-        if u not in self:
-            raise KeyError(f"{u} is not a poset element")
-        return bisect.bisect_left(self.codes, self._sub_code(u))
+        code = self.code(u)
+        if code is None:
+            raise KeyError(f"{tuple(u)} is not a poset element")
+        return bisect.bisect_left(self.codes, code)
 
     def rho(self, u: Monomial) -> int:
         """Number of coordinates where u meets the box ceiling g."""

@@ -69,8 +69,14 @@ def test_exists_partition_target_range():
 
 
 def test_exists_partition_empty_poset():
+    """The empty poset gets the empty partition from the fibers at s = 1
+    and from the search at s = 2, with no node: the search counts its
+    root only when there is a state to search."""
     p = build_poset(maximal_power(2, 1), maximal_power(2, 1))
-    assert exists_partition(p, 1) == IntervalPartition(())
+    for s in (1, 2):
+        stats = SearchStats()
+        assert exists_partition(p, s, stats=stats) == IntervalPartition(())
+        assert stats == SearchStats()
 
 
 def test_sdepth_poset_examples():

@@ -9,15 +9,20 @@ called with its budget and stats by keyword.  The partitions.verify span
 needs `verify_certificate` to reach `partitions.verify_partition` by its
 module name.  The package metadata must name the engine version, the
 sources must parse as the oldest Python the metadata allows, and they
-import nothing outside the standard library."""
+import nothing outside the standard library.  A search leaves the
+interpreter's recursion limit as it found it."""
 
 import ast
 import importlib.util
+import itertools
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from sdepthlab import ENGINE_VERSION
+import pytest
+
+from sdepthlab import ENGINE_VERSION, build_poset, maximal_power, partitions
 from sdepthlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,3 +92,23 @@ def test_sources_import_the_standard_library_only():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (
                     f"{path.name}:{node.lineno} imports {name}")
+
+
+def test_a_search_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
+    """The search raises the recursion limit to 2m + 500 for its own run
+    only.  On m^2 in 8 variables (6,552 elements, so a raised limit of
+    13,604) a solved scan leaves the limit where it found it, and so does
+    a decision at target 3 that times out inside the search: there the
+    clock ticks once per call, so the 21st node finds the deadline passed."""
+    limit = sys.getrecursionlimit()
+    assert partitions.sdepth_ideal(maximal_power(8, 2)).s == 3
+    assert sys.getrecursionlimit() == limit
+    ticks = itertools.count()
+    monkeypatch.setattr(partitions, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    stats = partitions.SearchStats()
+    with pytest.raises(partitions.SearchTimeout):
+        partitions.exists_partition(build_poset(maximal_power(8, 2)), 3,
+                                    timeout_s=20, stats=stats)
+    assert stats.nodes == 21
+    assert sys.getrecursionlimit() == limit
