@@ -344,12 +344,12 @@ class _Searcher:
 
     Masks are over sub-box cell codes (module docstring); `full_mask` is
     the poset's element mask (`CharPoset.mask`).  The set-up keeps masks
-    only, none per element: shapes are cached by code difference when
-    first used, the `record` of an element, its covers, digit sum and
-    rank, and its orbit when the counting prune first walks it, the cells
-    that sigma^p fixes per period p, and the candidate tops of a bottom
-    when the search first branches on it, in one table per target and
-    cycle keyed by bottom code, which `decide` fetches once.
+    only, none per element.  Kept when first used: shapes, by code
+    difference; the cells that sigma^p fixes, per period p; and the
+    `record` of an element, one entry with its covers, digit sum, rank,
+    orbit and orbit size, when the counting prune first walks it.  The
+    candidate tops of a bottom are built when a decision first branches
+    on it and live in that `decide` call only.
     Level and rank masks let the counting prune count by popcount and the
     candidates filter by rank and run in level order; the level masks,
     one per digit sum, come from doubling over the sub-box ("Levels by
@@ -367,8 +367,6 @@ class _Searcher:
 
     def __init__(self, poset: CharPoset):
         self.poset = poset
-        self.codes = poset.codes
-        self.m = len(self.codes)
         self.full_mask = poset.mask
         self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
         self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
@@ -376,8 +374,7 @@ class _Searcher:
         self.level = [cells & self.full_mask
                       for cells in _digit_sums(self._axes)] + [0]
         self._shapes = {0: 1}
-        self._records: dict[int, tuple[int, int, int]] = {}
-        self._orbits: dict[int, tuple[int, int]] = {}
+        self._records: dict[int, tuple[int, int, int, int, int]] = {}
         self._fixed: dict[int, int] = {}
         width = self.full_mask.bit_length()
         self.steps: list[tuple[int, int]] = []
@@ -412,7 +409,6 @@ class _Searcher:
                      for below, on in zip(ranks + [0], [0] + ranks)]
         self.rank_below = list(itertools.accumulate(
             ranks, operator.or_, initial=0))
-        self._tops: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
         self.cycle = self._variable_cycle()
 
     def _variable_cycle(self):
@@ -423,7 +419,7 @@ class _Searcher:
         same length d, and (u1, ..., un) going to (un, u1, ..., un-1) moves
         the last digit of a cell code to the front, of weight d ** (n - 1)."""
         poset = self.poset
-        if poset.arity < 2 or self.m == 0 or poset.dims[0] < 2:
+        if poset.arity < 2 or not poset.codes or poset.dims[0] < 2:
             return None
         for gens in (poset.numerator.generators,
                      poset.denominator.generators, (poset.g,)):
@@ -455,43 +451,47 @@ class _Searcher:
         """The elements one step above c: one shift of its bit per axis."""
         return sum((1 << c & keep) << shift for shift, keep in self.steps)
 
-    def record(self, c: int) -> tuple[int, int, int]:
-        """The covers, digit sum and rank of the element at c, the last two
-        from one pass over the digits of its code: the rank counts the
-        digits at the ceiling of their axis."""
+    def record(self, c: int) -> tuple[int, int, int, int, int]:
+        """The covers, digit sum, rank, orbit and orbit size of the element
+        at c.  Digit sum and rank come from one pass over the digits of its
+        code: the rank counts the digits at the ceiling of their axis.  The
+        orbit is the mask of the images of c under `cycle`, or the bit of c
+        alone when there is no cycle."""
         total = rank = 0
         for stride, dim in self._axes:
             digit = c // stride % dim
             total += digit
             rank += digit == dim - 1
-        return self.covers(c), total, rank
+        orbit, size, cycle = 1 << c, 1, self.cycle
+        if cycle is not None:
+            a = cycle(c)
+            while a != c:
+                orbit |= 1 << a
+                size += 1
+                a = cycle(a)
+        return self.covers(c), total, rank, orbit, size
 
     def _candidates(self, c: int, s: int, cycle=None) -> list[tuple[int, int]]:
         """Tops of the intervals at bottom c with rank >= s, in decreasing
         degree, then lex order, each with the shape of its interval.  Under
         the cell permutation `cycle`, only the tops whose images are equal
-        or disjoint (module docstring, "Orbit overlap").  Cached in the
-        table of (s, cycle), keyed by c, which `decide` reads directly."""
-        table = self._tops.setdefault((s, cycle), {})
-        cached = table.get(c)
-        if cached is None:
-            tops = self.multiples(c) & ~self.rank_below[s]
-            if cycle is not None:
-                images = [c]  # images[j] = sigma^j c, for 0 <= j < period
-                while (image := cycle(images[-1])) != c:
-                    images.append(image)
-                period = len(images)
-                for j in range(1, period // 2 + 1):
-                    tops &= ~(self.multiples(images[j])
-                              & self.multiples(images[-j]))
-                if period < self.poset.arity:
-                    tops &= self.fixed(period)
-            get = self._shapes.get  # a shape is never 0: `or` only on a miss
-            cached = [(v, get(v - c) or self.shape(v - c))
-                      for level in reversed(self.level) if tops & level
-                      for v in _cells(tops & level)]
-            table[c] = cached
-        return cached
+        or disjoint (module docstring, "Orbit overlap").  Nothing is cached
+        here: `decide` keeps the lists of its own call, keyed by c."""
+        tops = self.multiples(c) & ~self.rank_below[s]
+        if cycle is not None:
+            images = [c]  # images[j] = sigma^j c, for 0 <= j < period
+            while (image := cycle(images[-1])) != c:
+                images.append(image)
+            period = len(images)
+            for j in range(1, period // 2 + 1):
+                tops &= ~(self.multiples(images[j])
+                          & self.multiples(images[-j]))
+            if period < self.poset.arity:
+                tops &= self.fixed(period)
+        get = self._shapes.get  # a shape is never 0: `or` only on a miss
+        return [(v, get(v - c) or self.shape(v - c))
+                for level in reversed(self.level) if tops & level
+                for v in _cells(tops & level)]
 
     def fixed(self, p: int) -> int:
         """The elements that sigma^p fixes, for a proper divisor p of n:
@@ -536,9 +536,10 @@ class _Searcher:
         need, then of least degree; it visits codes in ascending order, so a
         tie keeps the lex-least.  With no uncovered element of rank < s the
         bottom is the lex-least uncovered element.  Given the cell
-        permutation `cycle`, under which `uncovered` must be invariant, the
-        walk scores each orbit once, at its lowest code, and counts its
-        need once per member (module docstring, "Orbit walk")."""
+        permutation `cycle`, the searcher's own, under which `uncovered`
+        must be invariant, the walk scores each orbit once, at its lowest
+        code, and counts its need once per member (module docstring, "Orbit
+        walk"), reading the orbit off the element's record."""
         walk = self.minimal(uncovered & self.rank_below[s])
         if not walk:
             return (uncovered & -uncovered).bit_length() - 1
@@ -551,13 +552,12 @@ class _Searcher:
             entry = known.get(c)
             if entry is None:
                 entry = known[c] = self.record(c)
-            covers, d, rank = entry
+            covers, d, rank, orbit, members = entry
             need = s - rank
             if cycle is None:
                 walk ^= low
                 forced = need
             else:
-                orbit, members = self.orbit_cells(c, cycle)
                 walk ^= orbit
                 forced = need * members
             slack = (covers & uncovered).bit_count() - need
@@ -571,19 +571,6 @@ class _Searcher:
             if req > (self.level[d + 1] & uncovered).bit_count():
                 return None
         return best
-
-    def orbit_cells(self, c: int, cycle) -> tuple[int, int]:
-        """The orbit of the element at c under `cycle`, as a mask, and its
-        size; cached by c."""
-        orbit = self._orbits.get(c)
-        if orbit is None:
-            mask, size, a = 1 << c, 1, cycle(c)
-            while a != c:
-                mask |= 1 << a
-                size += 1
-                a = cycle(a)
-            orbit = self._orbits[c] = mask, size
-        return orbit
 
     def orbit(self, w: int, v: int, placed: int,
               cycle) -> tuple[int, list[tuple[int, int]]]:
@@ -611,8 +598,10 @@ class _Searcher:
         search").  Returns (bottom, top) cell-code pairs or None if none
         exists.  Each node branches on the bottom that `branch_bottom`
         returns with the prune's verdict, and each top places the orbit of
-        its interval; the tops of a bottom come from the candidate table
-        of (s, cycle), fetched once.  SearchTimeout once
+        its interval.  The tops of a bottom come from `_candidates` the
+        first time the call branches on it and are kept, keyed by bottom,
+        until the call returns; the sdepth scan decides each target once,
+        so no list outlives its decision.  SearchTimeout once
         `time.monotonic()` passes `deadline`.  The recursion limit is
         raised to 2m + 500 for the search, one frame per interval placed,
         and restored on the way out, also on SearchTimeout.
@@ -620,12 +609,13 @@ class _Searcher:
         Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
         once it is full it takes no more states.  The memo only spares
         searching a refuted state again, so its size can change node counts
-        but never the answer or the partition found.  4 MiB is about six
-        times what the hardest solved instances of the benchmark ladders
-        fill (0.7 MiB for S/I quotients of about 70 elements and 13k nodes)
-        and holds about 11k masks at |P| = 2047; unbounded, the memo grew
-        RSS by about 90 MB in 40 s on m with n = 12.  The parent's loop
-        counts each child state and looks it up in the memo before the
+        but never the answer or the partition found.  4 MiB is about 19
+        times the largest memo of the benchmark ladders, 2,261 states or
+        0.22 MiB on the 5,177-node mid-hard S/I scan (the other mid-hard
+        scans fill 0.07-0.08 MiB, the mpow frontier rungs at most
+        0.04 MiB), and holds about 11k masks at |P| = 2047; unbounded, the
+        memo grew RSS by about 90 MB in 40 s on m with n = 12.  The parent's
+        loop counts each child state and looks it up in the memo before the
         call that runs the prune (module docstring, "Memo in the parent").
         """
         if not self.full_mask:
@@ -634,7 +624,7 @@ class _Searcher:
         # bytes per entry: no mask is larger than the full one, plus 64 for
         # its 16-byte set slot in a table at least a quarter full
         capacity = _FAILED_MEMO_BYTES // (sys.getsizeof(self.full_mask) + 64)
-        table = self._tops.setdefault((s, cycle), {})
+        table: dict[int, list[tuple[int, int]]] = {}
         message = f"time ran out with target {s} open"
 
         def rec(uncovered: int) -> list[tuple[int, int]] | None:
@@ -645,7 +635,7 @@ class _Searcher:
                 return None
             tops = table.get(w)
             if tops is None:
-                tops = self._candidates(w, s, cycle)
+                tops = table[w] = self._candidates(w, s, cycle)
             # [w, v] is shape << w, which fits iff uncovered >> w holds shape
             free = uncovered >> w
             for v, shape in tops:
@@ -671,7 +661,7 @@ class _Searcher:
             return None
 
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 2 * self.m + 500))
+        sys.setrecursionlimit(max(limit, 2 * len(self.poset.codes) + 500))
         try:
             stats.nodes += 1
             if time.monotonic() > deadline:
@@ -708,7 +698,7 @@ class _Searcher:
         iff that search made one node and one prune (module docstring,
         "Invariant search").  An empty poset gets the empty partition."""
         if s == 0:
-            pairs = [(c, c) for c in self.codes]
+            pairs = [(c, c) for c in self.poset.codes]
         elif s == 1:
             pairs = self.fiber_partition()
         else:

@@ -379,11 +379,24 @@ def test_document_writer_matches_json_dumps(document):
     ("quotient", (unit_ideal(5), minimalize(
         [(0, 2, 0, 1, 0), (1, 1, 2, 0, 0), (2, 2, 1, 0, 1)], 5)),
      "6745b6a36ab204a17510f1f736cfe4c50bbebff6127fdd55a5918cb2b51c820f"),
-], ids=["m-n8", "m2-n6", "midhard-S/I"])
+    ("quotient", (unit_ideal(5), minimalize(
+        [(1, 0, 0, 0, 2), (2, 0, 1, 1, 0), (2, 1, 2, 0, 1)], 5)),
+     "63190b483de8600dfdf14f532fb69f7aa38c2d5926ca8b6d0f8dd992dd9b5efa"),
+    ("quotient", (unit_ideal(4), minimalize(
+        [(0, 1, 1, 2), (2, 3, 0, 2), (3, 1, 0, 0)], 4)),
+     "619cf254f38e8b93b3ecc0d96f451ffe85d6f88a3ff431d0a06ddb69636a9402"),
+    ("quotient", (unit_ideal(4), minimalize(
+        [(0, 1, 2, 3), (1, 2, 0, 1), (2, 1, 0, 0)], 4)),
+     "4d73eccc0eda98ec9fc1d0ef0402380108929e403f569d9d31a9f2c104a36867"),
+    ("sdepth", (maximal_power(5, 3),),
+     "5e507509200f94c9f76bd2244634bc8f91412262e917e8652d9783c0968c3bfc"),
+], ids=["m-n8", "m2-n6", "midhard-S/I", "midhard-S/I-1", "midhard-S/I-2",
+        "midhard-S/I-3", "m3-n5"])
 def test_certificate_documents_are_pinned(tmp_path, capsys, command, ideals,
                                           digest):
     """The certificate text, byte for byte: any change of the search, of the
-    partition it finds or of the writer shows here."""
+    partition it finds or of the writer shows here.  The rows cover the four
+    mid-hard S/I of the benchmark and m^3 in 5 variables (550 nodes)."""
     flags = []
     for flag, ideal in zip(("--input", "--input-j"), ideals):
         path = tmp_path / f"{flag[2:]}.json"

@@ -133,7 +133,7 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
         assert len(searcher.level) == sum(p.g) - sum(p._lo) + 2
         for c in codes:  # walks c unless c has the full rank n
             searcher.branch_bottom(1 << c, p.arity)
-        assert {c: k for c, (_, k, _) in searcher._records.items()} == {
+        assert {c: k for c, (_, k, *_) in searcher._records.items()} == {
             c: sum(u) - sum(p._lo)
             for c, u, r in zip(codes, elems, rho) if r < p.arity}
         for i, u in enumerate(elems):
@@ -159,14 +159,14 @@ def test_closure_interval_and_candidate_kernels(oracle_posets):
 
 
 class _NoElementTuples:
-    """A poset whose element tuples and their index raise; every other
-    attribute is the wrapped poset's."""
+    """A poset whose element tuples raise; every other attribute is the
+    wrapped poset's."""
 
     def __init__(self, poset):
         self._poset = poset
 
     def __getattr__(self, name):
-        if name in ("elements", "_position"):
+        if name == "elements":
             raise AssertionError(f"poset.{name} was read")
         return getattr(self._poset, name)
 
@@ -174,7 +174,8 @@ class _NoElementTuples:
 def test_search_set_up_reads_no_element_tuple():
     """The set-up and the search work on cell codes alone: on m in 8
     variables, a searcher over a poset without element tuples builds and
-    finds the same code pairs at target 4 as over the plain poset."""
+    finds the same code pairs at target 4 as over the plain poset, and
+    the poset then holds what `CharPoset.__init__` set and its mask."""
     poset = build_poset(maximal_power(8, 1))
     bare = partitions._Searcher(_NoElementTuples(poset))
     plain = partitions._Searcher(poset)
@@ -183,6 +184,8 @@ def test_search_set_up_reads_no_element_tuple():
     assert pairs
     assert pairs == plain.decide(4, deadline, partitions.SearchStats(),
                                  plain.cycle)
+    built = vars(CharPoset(poset.numerator, poset.denominator, poset.g))
+    assert vars(poset).keys() <= built.keys() | {"mask"}
 
 
 def _power(permutation, c, k):
@@ -649,6 +652,34 @@ def test_orbit_walk_scores_one_element_per_orbit():
     partitions._get_searcher(poset)._records = Counting()
     cert = partitions.sdepth_poset(poset)
     assert (cert.s, cert.stats.nodes, Counting.lookups) == (5, 15, 19)
+
+
+def test_records_hold_the_orbit_of_every_walked_element(oracle_posets):
+    """After a whole scan, the record of every element the counting prune
+    walked holds its orbit under the cycle as a mask, and the orbit size,
+    against the images u[-j:] + u[:-j] of its exponent tuple: on the
+    posets of `oracle_posets` that the cycle fixes, on m in 8 variables
+    and on m^2 in 5."""
+    posets = [CharPoset(p.numerator, p.denominator, p.g)
+              for p in oracle_posets]
+    posets += [build_poset(maximal_power(8, 1)),
+               build_poset(maximal_power(5, 2))]
+    scanned, sizes = 0, set()
+    for p in posets:
+        searcher = partitions._get_searcher(p)
+        if not len(p) or searcher.cycle is None:
+            continue
+        partitions.sdepth_poset(p)
+        code = dict(zip(p.elements, p.codes))
+        for c, (*_, orbit, size) in searcher._records.items():
+            u = p.monomial(c)
+            images = {code[u[-j:] + u[:-j]] for j in range(p.arity)}
+            assert (orbit, size) == (sum(1 << a for a in images), len(images))
+            sizes.add((p.arity, size))
+        scanned += 1
+    assert scanned > 20
+    assert {(2, 1), (3, 1), (5, 5), (8, 4), (8, 8)} <= sizes
+
 
 def test_exhausted_orbit_search_hands_over_to_the_plain_search():
     """S/(x1 x2 x3) is the cube {0, 1}^3 without x1 x2 x3.  At target 2 the

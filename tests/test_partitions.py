@@ -18,6 +18,7 @@ from bruteforce import (
 )
 from corpus import exhaustive_ideals
 from sdepthlab import (
+    CharPoset,
     Interval,
     IntervalPartition,
     SearchStats,
@@ -804,7 +805,8 @@ def test_sdepth_and_its_checks_decode_no_element_tuples(monkeypatch):
     """Search, certificate and the checks work on codes: after
     `sdepth_poset` and `verify_certificate` on m in 8 variables, and after
     the Janet decomposition check on its cube poset, no poset holds its
-    element tuples or their index."""
+    element tuples: each holds what `CharPoset.__init__` set, its mask and
+    its searcher."""
     poset = build_poset(maximal_power(8, 1))
     cert = sdepth_poset(poset)
     assert verify_certificate(poset, cert.partition, cert.s)
@@ -824,17 +826,19 @@ def test_sdepth_and_its_checks_decode_no_element_tuples(monkeypatch):
     cube_cert = sdepth_poset(cube)
     assert verify_certificate(cube, cube_cert.partition, cube_cert.s)
     for p in (poset, cube):
-        assert "elements" not in vars(p) and "_position" not in vars(p)
+        built = vars(CharPoset(p.numerator, p.denominator, p.g))
+        assert vars(p).keys() <= built.keys() | {"mask", "_searcher"}
 
 
 def test_lookups_and_the_sdepth_path_read_one_element_mask():
     """`counting_prune`, `in`, `position` and `rho` test membership by the
     in-box test and the codes: on m in 8 variables they decode no element
-    tuple, and the poset has no element index.  After
+    tuple, and the built poset holds what `CharPoset.__init__` set.  After
     `sdepth_poset` the search reads the poset's mask itself, which the
     checker reads too, so the sdepth path builds it once."""
     poset = build_poset(maximal_power(8, 1))
-    assert not hasattr(poset, "_position")
+    built = vars(CharPoset(poset.numerator, poset.denominator, poset.g))
+    assert vars(poset).keys() == built.keys()
     g, x1 = poset.g, (1,) + (0,) * 7
     assert g in poset and x1 in poset and (0,) * 8 not in poset
     assert (poset.position(x1), poset.position(g)) == (127, 254)
