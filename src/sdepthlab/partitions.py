@@ -98,16 +98,16 @@ masks, and finds the minimal uncovered elements by shifts:
   off the digits of its code, so no Python loop runs over the elements
   for levels either.
 
-  Memo in the parent.  The loop over the tops of a state settles each
-  child state before any call for it: it counts the child's node, checks
-  the deadline, then consults the failed-state memo, so a memo hit costs
-  no call.  The root, whose memo is empty, is counted and checked before
-  the first call, and the prune runs only in the call, after the memo.
-  A state enters the memo only after it passed the prune at the same
-  target, and the prune is a function of the state and the target, so a
-  memo hit would have passed the prune again: the order changes no node,
-  prune or partition, and the counters at a timeout are those that one
-  call per state, memo first, would have left.
+  Memo in the parent.  The loop over the tops of a frame settles each
+  child state before it opens a frame for it: it counts the child's node,
+  checks the deadline, then consults the failed-state memo, so a memo hit
+  opens no frame.  The root, whose memo is empty, is counted and checked
+  before the loop, and the prune runs only when a state opens, after the
+  memo.  A state enters the memo only after it passed the prune at the
+  same target, and the prune is a function of the state and the target,
+  so a memo hit would have passed the prune again: the order changes no
+  node, prune or partition, and the counters at a timeout are those that
+  opening every state, memo first, would have left.
 
   Invariant search.  When the cycle sigma: x1 -> x2 -> ... -> xn -> x1 maps
   the generators of I, those of J and the corner g to themselves, it maps
@@ -602,9 +602,18 @@ class _Searcher:
         first time the call branches on it and are kept, keyed by bottom,
         until the call returns; the sdepth scan decides each target once,
         so no list outlives its decision.  SearchTimeout once
-        `time.monotonic()` passes `deadline`.  The recursion limit is
-        raised to 2m + 500 for the search, one frame per interval placed,
-        and restored on the way out, also on SearchTimeout.
+        `time.monotonic()` passes `deadline`.
+
+        The search is one loop over a list of open frames, one per state on
+        the path from the root, so nothing recurses.  A frame holds its
+        state, the bottom, the state shifted down by the bottom, an
+        iterator over the tops left to try, and the pairs that reached the
+        state.  The loop meets each child in the top frame's tops: it
+        counts the child's node, checks the deadline and looks the child up
+        in the memo; then the prune closes it, or it opens a frame at its
+        bottom.  An exhausted frame is popped and its state goes into the
+        memo.  A child that leaves nothing uncovered completes the cover:
+        every frame's pairs in order, then the child's own.
 
         Refuted states go into a memo bounded by _FAILED_MEMO_BYTES = 4 MiB;
         once it is full it takes no more states.  The memo only spares
@@ -614,9 +623,9 @@ class _Searcher:
         0.22 MiB on the 5,177-node mid-hard S/I scan (the other mid-hard
         scans fill 0.07-0.08 MiB, the mpow frontier rungs at most
         0.04 MiB), and holds about 11k masks at |P| = 2047; unbounded, the
-        memo grew RSS by about 90 MB in 40 s on m with n = 12.  The parent's
-        loop counts each child state and looks it up in the memo before the
-        call that runs the prune (module docstring, "Memo in the parent").
+        memo grew RSS by about 90 MB in 40 s on m with n = 12.  A memo hit
+        opens no frame, and the prune runs only on a state that missed the
+        memo (module docstring, "Memo in the parent").
         """
         if not self.full_mask:
             return []
@@ -626,53 +635,49 @@ class _Searcher:
         capacity = _FAILED_MEMO_BYTES // (sys.getsizeof(self.full_mask) + 64)
         table: dict[int, list[tuple[int, int]]] = {}
         message = f"time ran out with target {s} open"
-
-        def rec(uncovered: int) -> list[tuple[int, int]] | None:
-            """Search a counted, nonempty state that is not in the memo."""
-            w = self.branch_bottom(uncovered, s, cycle)
+        stats.nodes += 1
+        if time.monotonic() > deadline:
+            raise SearchTimeout(message, stats)
+        # open frames: state, bottom, state >> bottom, tops left, and the
+        # pairs that reached the state
+        frames = []
+        state, pairs = self.full_mask, ()
+        while True:
+            # `state` is counted, nonempty and not in the memo
+            w = self.branch_bottom(state, s, cycle)
             if w is None:
                 stats.prunes += 1
-                return None
-            tops = table.get(w)
-            if tops is None:
-                tops = table[w] = self._candidates(w, s, cycle)
-            # [w, v] is shape << w, which fits iff uncovered >> w holds shape
-            free = uncovered >> w
-            for v, shape in tops:
-                if free & shape != shape:
-                    continue
-                placed, pairs = shape << w, ((w, v),)
-                if cycle is not None:
-                    placed, pairs = self.orbit(w, v, placed, cycle)
-                rest = uncovered ^ placed
-                if not rest:
-                    return list(reversed(pairs))
-                stats.nodes += 1
-                if time.monotonic() > deadline:
-                    raise SearchTimeout(message, stats)
-                if rest in failed:
-                    continue
-                chosen = rec(rest)
-                if chosen is not None:
-                    chosen.extend(reversed(pairs))
-                    return chosen
-            if len(failed) < capacity:
-                failed.add(uncovered)
-            return None
-
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 2 * len(self.poset.codes) + 500))
-        try:
-            stats.nodes += 1
-            if time.monotonic() > deadline:
-                raise SearchTimeout(message, stats)
-            chosen = rec(self.full_mask)
-        finally:
-            sys.setrecursionlimit(limit)
-        if chosen is None:
-            return None
-        chosen.reverse()
-        return chosen
+            else:
+                tops = table.get(w)
+                if tops is None:
+                    tops = table[w] = self._candidates(w, s, cycle)
+                frames.append((state, w, state >> w, iter(tops), pairs))
+            state = 0
+            while not state:
+                if not frames:
+                    return None
+                uncovered, w, free, tops, _ = frames[-1]
+                # [w, v] is shape << w, which fits iff free holds shape
+                for v, shape in tops:
+                    if free & shape != shape:
+                        continue
+                    placed, pairs = shape << w, ((w, v),)
+                    if cycle is not None:
+                        placed, pairs = self.orbit(w, v, placed, cycle)
+                    rest = uncovered ^ placed
+                    if not rest:
+                        return [pair for frame in frames
+                                for pair in frame[4]] + list(pairs)
+                    stats.nodes += 1
+                    if time.monotonic() > deadline:
+                        raise SearchTimeout(message, stats)
+                    if rest not in failed:
+                        state = rest
+                        break
+                else:
+                    frames.pop()
+                    if len(failed) < capacity:
+                        failed.add(uncovered)
 
     def fiber_partition(self) -> list[tuple[int, int]] | None:
         """A partition with every top of rank >= 1, or None when there is
@@ -742,9 +747,12 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
     Raises SearchTimeout when the budget runs out, which is reported
     distinctly from infeasibility; a call with no budget left raises it
     before any construction, also at a target settled without search.
+    Raises ValueError for a NaN budget, which no clock reading passes.
     """
     if not 0 <= s <= poset.arity:
         raise ValueError(f"target {s} outside [0, {poset.arity}]")
+    if timeout_s != timeout_s:
+        raise ValueError("the time budget is NaN")
     if stats is None:
         stats = SearchStats()
     if timeout_s <= 0:

@@ -149,7 +149,8 @@ class CharPoset:
     search and the checker, and `elements`, read by `level`, `level_counts`
     and `dump`, are built from them on first use.  `code` encodes a
     monomial once and bisects the codes for it, for `in`, `position`,
-    `rho` and `partitions.counting_prune`.
+    `rho` and `partitions.counting_prune`.  A sub-box of more cells than
+    an index can count is refused with ValueError before any allocation.
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -161,6 +162,8 @@ class CharPoset:
         gens = numerator.generators
         self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
         self.dims = tuple(b - a + 1 for a, b in zip(self._lo, g))
+        if math.prod(self.dims) > sys.maxsize:
+            raise ValueError(f"the box {g} has too many cells to index")
         self.strides = _weights(self.dims)
         self._origin = sum(map(operator.mul, self._lo, self.strides))
         # Membership DP: bit 0 marks I, bit 1 marks J, one byte per cell.  A
@@ -274,9 +277,6 @@ def build_poset(numerator: MonomialIdeal,
         for gen in numerator.generators + denominator.generators:
             if not divides(gen, g):
                 raise ValueError(f"generator {gen} does not divide the box corner {g}")
-    lo = map(min, zip(*numerator.generators))
-    if math.prod(b - a + 1 for a, b in zip(lo, g)) > sys.maxsize:
-        raise ValueError(f"the box {g} has too many cells to index")
     return CharPoset(numerator, denominator, g)
 
 

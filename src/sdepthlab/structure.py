@@ -80,27 +80,37 @@ def sdepth_zero_quotient(numerator: MonomialIdeal,
 
 
 def _janet(n: int, gens: tuple[Monomial, ...]) -> list[tuple[Monomial, frozenset[int]]]:
-    if any(sum(g) == 0 for g in gens):
-        return []  # unit ideal: the quotient is zero
-    if n == 0:
-        return [((), frozenset())]
-    q = max((g[n - 1] for g in gens), default=0)
+    """The Janet spaces of S/I in n variables, by splitting along the last
+    variable, then the one before it, down to none.  Each pending layer is
+    a quotient in k variables, the exponents already fixed on x_(k+1),
+    ..., x_n, and the variables already adjoined; a layer in no variables
+    is one space.  The layers of a split are pushed last first, so they
+    pop, and give their spaces, in the order of x_k's exponent."""
     spaces: list[tuple[Monomial, frozenset[int]]] = []
-    for j in range(q + 1):
-        # the j-th layer is S'/I_j, with I_j generated by the x_n-free parts
-        # of the generators whose x_n exponent is at most j
-        sub_gens = minimal_antichain(
-            [g[:-1] for g in gens if g[n - 1] <= j], n - 1)
-        stabilized = j == q
-        for m, z in _janet(n - 1, sub_gens):
-            spaces.append((m + (j,), z | {n} if stabilized else z))
+    pending = [(n, gens, (), frozenset())]
+    while pending:
+        k, gens, fixed, adjoined = pending.pop()
+        if any(sum(g) == 0 for g in gens):
+            continue  # unit ideal: the layer is zero
+        if k == 0:
+            spaces.append((fixed, adjoined))
+            continue
+        q = max((g[k - 1] for g in gens), default=0)
+        for j in range(q, -1, -1):
+            # the j-th layer is S'/I_j, with I_j generated by the x_k-free
+            # parts of the generators whose x_k exponent is at most j
+            pending.append((k - 1, minimal_antichain(
+                [g[:-1] for g in gens if g[k - 1] <= j], k - 1),
+                (j,) + fixed, adjoined | {k} if j == q else adjoined))
     return spaces
 
 
 def janet_decomposition(ideal: MonomialIdeal) -> StanleyDecomposition:
-    """Stanley decomposition of S/I built by recursive splitting along the
-    last variable: layers 1, x_n, ..., x_n^(q-1) of quotients in one fewer
-    variable, and a final layer x_n^q with x_n adjoined to every space."""
+    """Stanley decomposition of S/I built by splitting along the last
+    variable: layers 1, x_n, ..., x_n^(q-1) of quotients in one fewer
+    variable, and a final layer x_n^q with x_n adjoined to every space,
+    each layer split again the same way (`_janet`, on a stack of pending
+    layers, so no input is too deep to split)."""
     if ideal.is_unit:
         raise ValueError("S/I is the zero module for the unit ideal")
     return StanleyDecomposition(

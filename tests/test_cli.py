@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdepthlab
-from sdepthlab import cli
+from sdepthlab import cli, partitions, sdepth_ideal
 from sdepthlab.cli import _ideal_hash, build_parser, main
 from sdepthlab.formats import ideal_to_structured, parse_ideal
 from sdepthlab.monomials import maximal_power, minimalize, unit_ideal
@@ -407,6 +407,20 @@ def test_certificate_documents_are_pinned(tmp_path, capsys, command, ideals,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_a_deep_plain_search_is_pinned():
+    """m in 12 variables with the corner (1, ..., 1, 2): the corner breaks
+    the variable cycle, so only the plain search runs, and its partition
+    of 103 intervals is found on a path 103 states deep, one interval per
+    state.  Its counters and its certificate text are pinned."""
+    cert = sdepth_ideal(maximal_power(12, 1), g=(1,) * 11 + (2,))
+    assert partitions._get_searcher(cert.poset).cycle is None
+    assert (cert.s, cert.stats.nodes, cert.stats.prunes) == (6, 1451, 772)
+    assert len(cert.partition) == 103
+    text = cli._document_text(cli.certificate_document(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a8c3e3763f3a1984e59a10a8b80bf4b48cb7380188a79701a52a6d715ec04386")
+
+
 def test_timeout_exit_code(tmp_path, capsys):
     path = _write(tmp_path / "m2.txt", "x1\nx2\n")
     assert main(["sdepth", "--input", path, "--timeout", "1e-12"]) == 3
@@ -482,7 +496,8 @@ def test_g_override(tmp_path, capsys):
 def test_box_too_large_to_index_exits_2(tmp_path, capsys):
     """A box of 2^63 cells or more is refused with one error line before
     anything is allocated; it used to end in an OverflowError traceback.
-    Only the walked sub-box counts."""
+    Only the walked sub-box counts.  The cube of the janet check is
+    guarded too: S/(x70) checks on 2^70 cells, S/(x1500) on 2^1500."""
     huge = "100000000000"
     m2 = _write(tmp_path / "m2.txt", "x1^2\nx1*x2\nx2^2\n")
     cert = tmp_path / "cert.json"
@@ -492,8 +507,12 @@ def test_box_too_large_to_index_exits_2(tmp_path, capsys):
     document["g"] = [int(huge)] * 2
     cert.write_text(json.dumps(document))
     capsys.readouterr()
+    x70 = _write(tmp_path / "x70.txt", "x70\n")
+    x1500 = _write(tmp_path / "x1500.txt", "x1500\n")
     for argv in (["sdepth", "--input", m2, "--g", f"{huge},{huge}"],
-                 ["verify", str(cert)]):
+                 ["verify", str(cert)],
+                 ["janet", "--input", x70],
+                 ["janet", "--input", x1500]):
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines

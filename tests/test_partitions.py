@@ -5,6 +5,7 @@ import random
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -242,6 +243,23 @@ def test_timeout_is_distinct_from_infeasible():
     # and the scan propagates it, naming the target that was open
     with pytest.raises(SearchTimeout, match="target 4 open"):
         sdepth_ideal(maximal_power(4, 1), timeout_s=1e-12)
+
+
+def test_nan_budget_is_rejected(monkeypatch):
+    """A NaN budget never compares below the clock, so it would bound
+    nothing: with a clock that advances 1,000 s per read, a 5 s budget
+    runs out on m^2 in 8 variables at target 3, and a NaN one is refused
+    before the search, as is a scan given one."""
+    poset = maximal_power_poset(8, 2)
+    ticks = itertools.count(0, 1000)
+    monkeypatch.setattr(partitions, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(SearchTimeout):
+        exists_partition(poset, 3, timeout_s=5)
+    with pytest.raises(ValueError, match="NaN"):
+        exists_partition(poset, 3, timeout_s=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        sdepth_poset(poset, timeout_s=math.nan)
 
 
 def test_scan_shares_one_budget(monkeypatch):

@@ -99,6 +99,14 @@ def test_janet_of_zero_ideal_is_free_ring():
     assert verify_stanley_decomposition(unit_ideal(3), zero_ideal(3), d, 2)
 
 
+def test_janet_splits_one_variable_at_a_time_without_recursing():
+    """S/(x1500) splits once per variable, 1500 layers deep, with no
+    Python frame per layer: its one space is 1 * K[x1, ..., x1499]."""
+    n = 1500
+    d = janet_decomposition(minimalize([(0,) * (n - 1) + (1,)], n))
+    assert d.spaces == (((0,) * n, frozenset(range(1, n))),)
+
+
 def test_janet_always_verifies_spot_checks():
     u = unit_ideal(3)
     for gens in ([(1, 0, 0)], [(0, 1, 2)], [(2, 0, 0), (1, 1, 0)],

@@ -9,8 +9,8 @@ called with its budget and stats by keyword.  The partitions.verify span
 needs `verify_certificate` to reach `partitions.verify_partition` by its
 module name.  The package metadata must name the engine version, the
 sources must parse as the oldest Python the metadata allows, and they
-import nothing outside the standard library.  A search leaves the
-interpreter's recursion limit as it found it."""
+import nothing outside the standard library.  A search never touches the
+interpreter's recursion limit."""
 
 import ast
 import importlib.util
@@ -94,15 +94,18 @@ def test_sources_import_the_standard_library_only():
                     f"{path.name}:{node.lineno} imports {name}")
 
 
-def test_a_search_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
-    """The search raises the recursion limit to 2m + 500 for its own run
-    only.  On m^2 in 8 variables (6,552 elements, so a raised limit of
-    13,604) a solved scan leaves the limit where it found it, and so does
-    a decision at target 3 that times out inside the search: there the
-    clock ticks once per call, so the 21st node finds the deadline passed."""
-    limit = sys.getrecursionlimit()
+def test_a_search_never_sets_the_recursion_limit(monkeypatch):
+    """The search keeps its open frames in a list, so it needs no deeper
+    recursion and leaves the interpreter-wide limit alone: with
+    `sys.setrecursionlimit` made to raise, a solved scan of m^2 in 8
+    variables (6,552 elements) still runs, and so does a decision at
+    target 3 that times out inside the search: there the clock ticks once
+    per read, so the 21st node finds the deadline passed."""
+    def refuse(limit):
+        raise AssertionError(f"the recursion limit was set to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     assert partitions.sdepth_ideal(maximal_power(8, 2)).s == 3
-    assert sys.getrecursionlimit() == limit
     ticks = itertools.count()
     monkeypatch.setattr(partitions, "time",
                         SimpleNamespace(monotonic=lambda: next(ticks)))
@@ -111,4 +114,3 @@ def test_a_search_leaves_the_recursion_limit_as_it_found_it(monkeypatch):
         partitions.exists_partition(build_poset(maximal_power(8, 2)), 3,
                                     timeout_s=20, stats=stats)
     assert stats.nodes == 21
-    assert sys.getrecursionlimit() == limit
