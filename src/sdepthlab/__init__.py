@@ -36,7 +36,6 @@ from .formats import (
 )
 from .posets import (
     CharPoset,
-    LevelTable,
     alpha_enumerate,
     alpha_formula,
     build_poset,

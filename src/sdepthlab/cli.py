@@ -79,7 +79,8 @@ def _parse_timeout(value: str) -> float:
 
 
 def _parse_count(value: str) -> int:
-    """A positive integer, for --arity and --threads."""
+    """A positive integer, for --arity, --threads and the `n` and `k` of
+    `alpha`."""
     try:
         count = int(value)
     except ValueError:
@@ -142,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                cmd_janet, cache=False)
 
     alpha = sub.add_parser("alpha", help="level counts of the m^k poset")
-    alpha.add_argument("n", type=int)
-    alpha.add_argument("k", type=int)
+    alpha.add_argument("n", type=_parse_count)
+    alpha.add_argument("k", type=_parse_count)
     add_common(alpha, cmd_alpha, needs_input=False, cache=False)
 
     conj = sub.add_parser("conjecture", help="sdepth(m^k) sweep vs ceil(n/(k+1))")

@@ -20,7 +20,9 @@ elements only, read off the membership bytes in one pass of C loops that
 allocates nothing per cell.  The search and the certificate checker work
 on those codes and on the one element mask built from them (`CharPoset.mask`),
 where an interval is a shifted box shape (`partitions`), and decode a
-monomial only where they report one (`CharPoset.monomial`).
+monomial only where they report one (`CharPoset.monomial`).  The decoded
+element tuples (`CharPoset.elements`) are built on first use, for callers
+outside the engine.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 from .monomials import (
     Monomial,
@@ -125,17 +126,6 @@ def code_mask(codes) -> int:
     return int(digits, 2)
 
 
-@dataclass(frozen=True)
-class LevelTable:
-    """Per-degree element counts of a poset."""
-
-    counts: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 class CharPoset:
     """Characteristic poset of I/J inside the divisor box of g.
 
@@ -145,12 +135,15 @@ class CharPoset:
     found by the membership DP over the sub-box [lo, g] (module docstring).
     `codes[i]` is the cell code of element i in that sub-box, whose side
     lengths are `dims` and whose axis strides are `strides`; `monomial`
-    decodes one code.  The build keeps only the codes.  `mask`, read by the
-    search and the checker, and `elements`, read by `level`, `level_counts`
-    and `dump`, are built from them on first use.  `code` encodes a
-    monomial once and bisects the codes for it, for `in`, `position`,
-    `rho` and `partitions.counting_prune`.  A sub-box of more cells than
-    an index can count is refused with ValueError before any allocation.
+    decodes one code.  The build keeps only the codes, read off the
+    membership bytes.  `mask`, the element mask read by the search and the
+    checker, is built from them on first use; so is `elements`, the decoded
+    tuples, which nothing in the engine reads and which serve callers
+    outside it.  `code` encodes a monomial once and bisects the codes for
+    it, for `in`, `rho` and `partitions.counting_prune`.  A sub-box of more
+    cells than an index can count is refused with ValueError before any
+    allocation; the message names the number of axes, not the corner,
+    which can have thousands of coordinates.
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -163,7 +156,8 @@ class CharPoset:
         self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
         self.dims = tuple(b - a + 1 for a, b in zip(self._lo, g))
         if math.prod(self.dims) > sys.maxsize:
-            raise ValueError(f"the box {g} has too many cells to index")
+            raise ValueError(f"the box of {len(self.dims)} axes has too "
+                             "many cells to index")
         self.strides = _weights(self.dims)
         self._origin = sum(map(operator.mul, self._lo, self.strides))
         # Membership DP: bit 0 marks I, bit 1 marks J, one byte per cell.  A
@@ -220,39 +214,12 @@ class CharPoset:
         return tuple(a + code // t % d
                      for a, t, d in zip(self._lo, self.strides, self.dims))
 
-    def position(self, u: Monomial) -> int:
-        """Index of u in the code-sorted element list."""
-        code = self.code(u)
-        if code is None:
-            raise KeyError(f"{tuple(u)} is not a poset element")
-        return bisect.bisect_left(self.codes, code)
-
     def rho(self, u: Monomial) -> int:
         """Number of coordinates where u meets the box ceiling g."""
         u = tuple(u)
         if u not in self:
             raise KeyError(f"{u} is not a poset element")
         return sum(1 for a, b in zip(u, self.g) if a == b)
-
-    def level(self, d: int) -> tuple[Monomial, ...]:
-        """All elements of total degree d."""
-        return tuple(u for u in self.elements if sum(u) == d)
-
-    def level_counts(self) -> LevelTable:
-        counts: dict[int, int] = {}
-        for u in self.elements:
-            d = sum(u)
-            counts[d] = counts.get(d, 0) + 1
-        return LevelTable(counts)
-
-    def dump(self) -> str:
-        """Debug listing: header (n, g, |P|) then one line per element
-        (exponent vector, degree, rho), in code order."""
-        lines = [f"n={self.arity} g={','.join(map(str, self.g))} size={len(self)}"]
-        for u in self.elements:
-            vec = ",".join(map(str, u))
-            lines.append(f"{vec} deg={sum(u)} rho={self.rho(u)}")
-        return "\n".join(lines) + "\n"
 
 
 def build_poset(numerator: MonomialIdeal,

@@ -231,11 +231,17 @@ def test_verify_rejects_zero_module_certificate(tmp_path, capsys):
 
 
 def test_alpha_command(tmp_path, capsys):
+    """The level counts of m^2 in 3 variables.  n and k below 1 are usage
+    errors, as `alpha_formula` rejects them: `alpha 0 1` and `alpha -2 3`
+    printed an empty table and exited 0."""
     out = tmp_path / "alpha.csv"
     assert main(["alpha", "3", "2", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "total = 23" in printed
     assert out.read_text() == "d,alpha\n2,6\n3,7\n4,6\n5,3\n6,1\n"
+    for n, k in (("0", "1"), ("-2", "3"), ("3", "0"), ("3", "two")):
+        assert main(["alpha", n, k]) == 2
+        assert "count >= 1" in capsys.readouterr().err
 
 
 def test_conjecture_command(tmp_path, capsys):
@@ -497,7 +503,9 @@ def test_box_too_large_to_index_exits_2(tmp_path, capsys):
     """A box of 2^63 cells or more is refused with one error line before
     anything is allocated; it used to end in an OverflowError traceback.
     Only the walked sub-box counts.  The cube of the janet check is
-    guarded too: S/(x70) checks on 2^70 cells, S/(x1500) on 2^1500."""
+    guarded too: S/(x70) checks on 2^70 cells, S/(x1500) on 2^1500.  The
+    line names the number of axes, not the corner, so it stays under 200
+    characters where printing the corner of S/(x1500) took 4.5 KB."""
     huge = "100000000000"
     m2 = _write(tmp_path / "m2.txt", "x1^2\nx1*x2\nx2^2\n")
     cert = tmp_path / "cert.json"
@@ -517,6 +525,7 @@ def test_box_too_large_to_index_exits_2(tmp_path, capsys):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "too many cells to index" in lines[0]
+        assert len(lines[0]) < 200, lines[0]
     # the full box has 32768^5 = 2^75 cells, the walked sub-box one
     far = _write(tmp_path / "far.txt", "*".join(
         f"x{j}^32767" for j in range(1, 6)) + "\n")

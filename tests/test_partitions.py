@@ -849,7 +849,7 @@ def test_sdepth_and_its_checks_decode_no_element_tuples(monkeypatch):
 
 
 def test_lookups_and_the_sdepth_path_read_one_element_mask():
-    """`counting_prune`, `in`, `position` and `rho` test membership by the
+    """`counting_prune`, `in`, `code` and `rho` test membership by the
     in-box test and the codes: on m in 8 variables they decode no element
     tuple, and the built poset holds what `CharPoset.__init__` set.  After
     `sdepth_poset` the search reads the poset's mask itself, which the
@@ -859,7 +859,8 @@ def test_lookups_and_the_sdepth_path_read_one_element_mask():
     assert vars(poset).keys() == built.keys()
     g, x1 = poset.g, (1,) + (0,) * 7
     assert g in poset and x1 in poset and (0,) * 8 not in poset
-    assert (poset.position(x1), poset.position(g)) == (127, 254)
+    assert (poset.codes.index(poset.code(x1)),
+            poset.codes.index(poset.code(g))) == (127, 254)
     assert (poset.rho(x1), poset.rho(g)) == (1, 8)
     assert [counting_prune(poset, s, map(poset.monomial, poset.codes))
             for s in range(9)] == [True] * 5 + [False] * 4

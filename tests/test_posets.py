@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import operator
@@ -29,9 +30,12 @@ def test_build_poset_maximal_ideal():
 
 
 def test_build_poset_square_power():
+    """m^2 in 2 variables has 3, 2 and 1 elements of degrees 2, 3 and 4,
+    so none of degree 1; the degree-3 ones are x1^2 x2 and x1 x2^2."""
     p = maximal_power_poset(2, 2)
-    counts = p.level_counts().counts
+    counts = collections.Counter(map(sum, p.elements))
     assert counts == {2: 3, 3: 2, 4: 1}
+    assert {u for u in p.elements if sum(u) == 3} == {(2, 1), (1, 2)}
     assert len(p) == 6
 
 
@@ -71,16 +75,9 @@ def test_rho_ceiling_characterization():
     for u in p.elements:
         assert (p.rho(u) == 3) == (u == (2, 2, 2))
     # degree-k generators: rank 0 except the pure powers which have rank 1
-    for u in p.level(2):
+    for u in (u for u in p.elements if sum(u) == 2):
         expected = 1 if u in {(2, 0, 0), (0, 2, 0), (0, 0, 2)} else 0
         assert p.rho(u) == expected
-
-
-def test_levels():
-    p = maximal_power_poset(2, 2)
-    assert set(p.level(3)) == {(2, 1), (1, 2)}
-    assert p.level(1) == ()
-    assert p.level_counts().total == len(p)
 
 
 def test_alpha_formula_boundary_values():
@@ -161,15 +158,7 @@ def test_code_order_is_lex_and_bijective():
                      for u in p.elements]
     assert list(p.elements) == sorted(p.elements)
     for i, u in enumerate(p.elements):
-        assert p.position(u) == i
-
-
-def test_dump_format():
-    p = maximal_power_poset(2, 1)
-    lines = p.dump().splitlines()
-    assert lines[0] == "n=2 g=1,1 size=3"
-    assert lines[1:] == ["0,1 deg=1 rho=1", "1,0 deg=1 rho=1",
-                         "1,1 deg=2 rho=2"]
+        assert p.codes.index(p.code(u)) == i
 
 
 def test_empty_and_degenerate_posets():
@@ -198,15 +187,13 @@ def test_poset_build_takes_a_byte_per_box_cell():
 
 
 def _assert_no_element(p, u):
-    """u is not in p, and `position` and `rho` raise KeyError naming it."""
+    """u is not in p, `code` returns None for it, and `rho` raises
+    KeyError naming it."""
     assert u not in p
-    for lookup in (p.position, p.rho):
-        try:
-            lookup(u)
-        except KeyError as error:
-            assert error.args == (f"{u} is not a poset element",)
-        else:
-            raise AssertionError(f"{lookup.__name__} accepted {u}")
+    assert p.code(u) is None
+    with pytest.raises(KeyError) as error:
+        p.rho(u)
+    assert error.value.args == (f"{u} is not a poset element",)
 
 
 def _aliases(p, u):
@@ -237,7 +224,7 @@ def _assert_matches_product_walk(p):
     for u in cells:
         if u in index:
             assert u in p
-            assert p.position(u) == index[u]
+            assert p.codes.index(p.code(u)) == index[u]
             assert p.rho(u) == sum(map(operator.eq, u, p.g))
         else:
             _assert_no_element(p, u)
@@ -252,7 +239,7 @@ def _assert_matches_product_walk(p):
 def test_codes_elements_and_index_match_the_product_walk(small_corpus):
     """The codes read off the membership bytes, the element tuples and
     the element mask built from them, `monomial` on every cell of the
-    sub-box, and `in`, `position` and `rho` on every cell and on tuples
+    sub-box, and `in`, `code` and `rho` on every cell and on tuples
     outside the sub-box that alias an element, against the product walk:
     S/I, I and I/J over the n <= 3 corpus, and the same in a box set with
     g."""

@@ -10,11 +10,14 @@ needs `verify_certificate` to reach `partitions.verify_partition` by its
 module name.  The package metadata must name the engine version, the
 sources must parse as the oldest Python the metadata allows, and they
 import nothing outside the standard library.  A search never touches the
-interpreter's recursion limit."""
+interpreter's recursion limit.  Every name README's library overview
+gives a module is still there."""
 
 import ast
+import importlib
 import importlib.util
 import itertools
+import keyword
 import re
 import sys
 from pathlib import Path
@@ -22,7 +25,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from sdepthlab import ENGINE_VERSION, build_poset, maximal_power, partitions
+import sdepthlab
+from sdepthlab import (
+    ENGINE_VERSION,
+    CharPoset,
+    build_poset,
+    maximal_power,
+    partitions,
+)
 from sdepthlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,3 +124,28 @@ def test_a_search_never_sets_the_recursion_limit(monkeypatch):
         partitions.exists_partition(build_poset(maximal_power(8, 2)), 3,
                                     timeout_s=20, stats=stats)
     assert stats.nodes == 21
+
+
+def test_readme_library_overview_names_only_what_exists():
+    """Each row of README's "Library overview" table names a module, and
+    each backticked Python identifier in the row is an attribute of that
+    module, of `CharPoset` or of the package, so a deleted function or
+    method cannot linger in the docs.  Keywords such as `in`, one-letter
+    symbols such as `s` and the command name `sdepthlab` are no names of
+    the library and are skipped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines()
+            if line.startswith("| `sdepthlab.")]
+    assert len(rows) >= 6
+    for row in rows:
+        name, contents = row.strip("|").split("|")[:2]
+        name = name.strip(" `")
+        module = importlib.import_module(name)
+        for word in re.findall(r"`([^`]*)`", contents):
+            if (not word.isidentifier() or keyword.iskeyword(word)
+                    or len(word) == 1 or word == "sdepthlab"):
+                continue
+            assert any(hasattr(owner, word)
+                       for owner in (module, CharPoset, sdepthlab)), (
+                f"README names `{word}` in the {name} row")
