@@ -435,11 +435,22 @@ def cmd_alpha(args: argparse.Namespace) -> int:
     return 0
 
 
+def _span(low: int, high: int, name: str) -> range:
+    """The values of --NAME-min low through --NAME-max high, or ValueError
+    when there are none: a sweep over an empty range would write its CSV
+    header alone and exit 0."""
+    if low > high:
+        raise ValueError(f"empty range: --{name}-min {low} is above "
+                         f"--{name}-max {high}")
+    return range(low, high + 1)
+
+
 def cmd_conjecture(args: argparse.Namespace) -> int:
+    n_values = _span(args.n_min, args.n_max, "n")
+    k_values = _span(args.k_min, args.k_max, "k")
+
     def compute():
-        rows = conjecture_sweep(range(args.n_min, args.n_max + 1),
-                                range(args.k_min, args.k_max + 1),
-                                timeout_s=args.timeout)
+        rows = conjecture_sweep(n_values, k_values, timeout_s=args.timeout)
         return rows_to_csv(SweepRow, rows)
 
     document = _cached(args, [], compute)
@@ -449,10 +460,10 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 def cmd_mki(args: argparse.Namespace) -> int:
     [ideal] = _load_ideals(args)
+    k_values = _span(args.k_min, args.k_max, "k")
 
     def compute():
-        rows = mki_sweep(ideal, range(args.k_min, args.k_max + 1),
-                         timeout_s=args.timeout)
+        rows = mki_sweep(ideal, k_values, timeout_s=args.timeout)
         return rows_to_csv(MkiRow, rows)
 
     document = _cached(args, [ideal], compute)

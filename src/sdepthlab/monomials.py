@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 Monomial = tuple[int, ...]
 
@@ -76,23 +76,46 @@ def degrevlex_key(u: Monomial):
     return (sum(u), tuple(map(operator.neg, reversed(u))))
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, stored by its minimal generating antichain.
 
     The zero ideal has no generators; the unit ideal is generated by the
     unit monomial (0,...,0).  Generators are kept in ascending degrevlex
-    order so all derived output is reproducible byte for byte.
+    order so all derived output is reproducible byte for byte.  An ideal
+    is immutable and compares and hashes by its arity and generators.
     """
 
-    arity: int
-    generators: tuple[Monomial, ...] = field(default=())
+    __slots__ = ("arity", "generators")
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        gens = minimal_antichain(self.generators, self.arity)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, arity: int, generators: tuple[Monomial, ...] = ()):
+        if arity < 1:
+            raise ValueError(f"arity must be >= 1, got {arity}")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "generators",
+                           minimal_antichain(generators, arity))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, as the slots refuse
+        the assignment by which they would restore an ideal's state."""
+        return MonomialIdeal, (self.arity, self.generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.generators) == (other.arity, other.generators)
+
+    def __hash__(self):
+        return hash((self.arity, self.generators))
+
+    def __repr__(self):
+        return (f"MonomialIdeal(arity={self.arity!r}, "
+                f"generators={self.generators!r})")
 
     @property
     def is_zero(self) -> bool:
@@ -231,22 +254,22 @@ def num_min_gens(ideal: MonomialIdeal) -> int:
     return len(ideal.generators)
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(namedtuple("QuotientPresentation",
+                                      "numerator denominator")):
     """A quotient module I/J of two monomial ideals with J contained in I.
 
     S/I is presented with the unit ideal as numerator and I as denominator.
     """
 
-    numerator: MonomialIdeal
-    denominator: MonomialIdeal
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_ideal_arity(self.numerator, self.denominator)
-        for v in self.denominator.generators:
-            if not contains(self.numerator, v):
+    def __new__(cls, numerator: MonomialIdeal, denominator: MonomialIdeal):
+        _check_ideal_arity(numerator, denominator)
+        for v in denominator.generators:
+            if not contains(numerator, v):
                 raise ValueError(
                     f"denominator generator {v} is not in the numerator ideal")
+        return super().__new__(cls, numerator, denominator)
 
     @property
     def arity(self) -> int:

@@ -220,7 +220,7 @@ import itertools
 import operator
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .monomials import (
     Monomial,
@@ -246,62 +246,77 @@ class InternalVerificationError(AssertionError):
     """A solver result failed its own independent verifier (a bug guard)."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    bottom: Monomial
-    top: Monomial
+class Interval(namedtuple("Interval", "bottom top")):
+    """The interval [bottom, top] of a partition, both ends monomials."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    intervals: tuple[Interval, ...]
+class IntervalPartition(tuple):
+    """The intervals of a partition, in order.  A tuple of `Interval`s, so
+    pickle and `copy.deepcopy` rebuild it from that one tuple; `intervals`
+    names it as the one field of the record."""
 
-    def __len__(self) -> int:
-        return len(self.intervals)
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.intervals)
+    def __new__(cls, intervals: tuple[Interval, ...]):
+        return super().__new__(cls, intervals)
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(self)
+
+    def __repr__(self):
+        return f"IntervalPartition(intervals={tuple(self)!r})"
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    prunes: int = 0
+    """Nodes and prunes of one decision or scan, counted in place."""
+
+    __slots__ = ("nodes", "prunes")
+
+    def __init__(self, nodes: int = 0, prunes: int = 0):
+        self.nodes = nodes
+        self.prunes = prunes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.prunes) == (other.nodes, other.prunes)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return f"SearchStats(nodes={self.nodes!r}, prunes={self.prunes!r})"
 
     def merge(self, other: "SearchStats") -> None:
         self.nodes += other.nodes
         self.prunes += other.prunes
 
 
-@dataclass(frozen=True)
-class SdepthCertificate:
+class SdepthCertificate(namedtuple("SdepthCertificate",
+                                   "s partition stats poset")):
     """A witnessed Stanley depth value: s together with a partition whose
     interval tops all have rank at least s (and at least one exactly s)."""
 
-    s: int
-    partition: IntervalPartition
-    stats: SearchStats
-    poset: CharPoset
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "ok reason", defaults=("",))):
     """Verdict of a certificate checker; false with a reason on failure."""
 
-    ok: bool
-    reason: str = ""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class StanleyDecomposition:
+class StanleyDecomposition(namedtuple("StanleyDecomposition",
+                                      "arity spaces")):
     """Stanley spaces (m_i, Z_i): the monomial m_i times the polynomial
     subring on the 1-based variable indices Z_i."""
 
-    arity: int
-    spaces: tuple[tuple[Monomial, frozenset[int]], ...]
+    __slots__ = ()
 
     @property
     def sdepth(self) -> int | None:
@@ -714,9 +729,10 @@ class _Searcher:
                 pairs = self.decide(s, deadline, stats)
         if pairs is None:
             return None
-        monomial = self.poset.monomial
-        return IntervalPartition(tuple(
-            Interval(monomial(u), monomial(v)) for u, v in pairs))
+        decode = self.poset.monomials
+        return IntervalPartition(tuple(map(
+            Interval, decode([u for u, _ in pairs]),
+            decode([v for _, v in pairs]))))
 
     def intrinsic_upper_bound(self) -> int:
         """Largest s any partition could reach: each minimal poset element

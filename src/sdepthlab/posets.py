@@ -182,7 +182,7 @@ class CharPoset:
     @functools.cached_property
     def elements(self) -> tuple[Monomial, ...]:
         """The elements in code order, decoded from the codes on first use."""
-        return tuple(map(self.monomial, self.codes))
+        return tuple(self.monomials(self.codes))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -213,6 +213,13 @@ class CharPoset:
         """The cell of the sub-box [lo, g] with this code, as a monomial."""
         return tuple(a + code // t % d
                      for a, t, d in zip(self._lo, self.strides, self.dims))
+
+    def monomials(self, codes) -> list[Monomial]:
+        """The cells with the codes of the sequence `codes`, as monomials,
+        in order: each axis' exponents in one comprehension over the codes,
+        then one zip, where `monomial` makes one generator per code."""
+        return list(zip(*[[a + c // t % d for c in codes] for a, t, d
+                          in zip(self._lo, self.strides, self.dims)]))
 
     def rho(self, u: Monomial) -> int:
         """Number of coordinates where u meets the box ceiling g."""

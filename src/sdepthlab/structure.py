@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .monomials import (
     Monomial,
@@ -29,7 +29,6 @@ from .monomials import (
     unit_ideal,
 )
 from .partitions import (
-    SdepthCertificate,
     SearchTimeout,
     StanleyDecomposition,
     sdepth_ideal,
@@ -38,17 +37,17 @@ from .partitions import (
 from .posets import alpha_formula
 
 
-@dataclass(frozen=True)
-class SaturationReport:
-    """Outcome of the saturation comparison behind the depth-zero test."""
+class SaturationReport(namedtuple(
+        "SaturationReport", "ideal saturation is_saturated witness")):
+    """Outcome of the saturation comparison behind the depth-zero test:
+    the ideal is saturated exactly when there is no witness."""
 
-    ideal: MonomialIdeal
-    saturation: MonomialIdeal
-    is_saturated: bool
-    witness: Monomial | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.is_saturated == (self.witness is None)
+    def __new__(cls, ideal: MonomialIdeal, saturation: MonomialIdeal,
+                is_saturated: bool, witness: Monomial | None):
+        assert is_saturated == (witness is None)
+        return super().__new__(cls, ideal, saturation, is_saturated, witness)
 
 
 def ideal_saturation_report(ideal: MonomialIdeal) -> SaturationReport:
@@ -142,20 +141,12 @@ def check_counting_inequality(n: int, k: int, a: int) -> bool:
     return alpha_next < n * a + (alpha_k - n) * (a + 1)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(namedtuple("SweepRow", "n k alpha_k sdepth bound "
+                                      "conjecture_match status ms nodes")):
     """One cell of the maximal-power sweep.  `bound` is the conjectured
     value; equality with the computed sdepth is reported, never asserted."""
 
-    n: int
-    k: int
-    alpha_k: int
-    sdepth: int | None
-    bound: int
-    conjecture_match: bool | None
-    status: str
-    ms: int
-    nodes: int
+    __slots__ = ()
 
     @property
     def bound_satisfied(self) -> bool | None:
@@ -194,17 +185,11 @@ def _timed_sdepth(ideal: MonomialIdeal,
     return sdepth, status, int((time.perf_counter() - start) * 1000), nodes
 
 
-@dataclass(frozen=True)
-class MkiRow:
+class MkiRow(namedtuple("MkiRow", "k num_gens sdepth status ms nodes")):
     """One cell of the sweep over m^k * I: the minimal generator count (the
     Hilbert function of the associated fiber algebra) and the exact sdepth."""
 
-    k: int
-    num_gens: int
-    sdepth: int | None
-    status: str
-    ms: int
-    nodes: int
+    __slots__ = ()
 
 
 def mki_sweep(ideal: MonomialIdeal, k_values, *,
@@ -233,9 +218,9 @@ def _csv_cell(value) -> str:
 
 
 def rows_to_csv(row_type, rows) -> str:
-    """CSV of sweep rows: a header of the `row_type` dataclass field names,
+    """CSV of sweep rows: a header of the `row_type` field names, in order,
     then one line per row; None is an empty cell, booleans are lowercase."""
-    names = [f.name for f in fields(row_type)]
+    names = row_type._fields
     lines = [",".join(names)]
     for row in rows:
         lines.append(",".join(_csv_cell(getattr(row, name)) for name in names))
@@ -248,16 +233,13 @@ SWEEP_CSV_HEADER = "n,k,alpha_k,sdepth,bound,conjecture_match,status,ms,nodes"
 MKI_CSV_HEADER = "k,num_gens,sdepth,status,ms,nodes"
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(namedtuple(
+        "ComparisonReport", "sdepth_ideal sdepth_quotient inequality_holds "
+        "ideal_certificate quotient_certificate")):
     """Exploratory comparison of sdepth(I) against sdepth(S/I) + 1.  The
     inequality is an open question; this reports, it does not assert."""
 
-    sdepth_ideal: int
-    sdepth_quotient: int
-    inequality_holds: bool
-    ideal_certificate: SdepthCertificate
-    quotient_certificate: SdepthCertificate
+    __slots__ = ()
 
 
 def ideal_vs_quotient_report(ideal: MonomialIdeal, *,

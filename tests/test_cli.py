@@ -263,6 +263,24 @@ def test_mki_command(tmp_path, capsys):
         [["0", "1", "2"], ["1", "2", "1"], ["2", "3", "1"]]
 
 
+def test_an_empty_sweep_range_exits_2(tmp_path, capsys):
+    """A sweep over an empty n or k range is an input error with one
+    `error:` line: `conjecture --n-min 3 --n-max 2` and `mki --k-min 3
+    --k-max 1` printed the CSV header alone and exited 0.  A range of one
+    value still runs."""
+    path = _write(tmp_path / "x1.txt", "x1\n")
+    for argv in (["conjecture", "--n-min", "3", "--n-max", "2"],
+                 ["conjecture", "--k-min", "4", "--k-max", "3"],
+                 ["mki", "--input", path, "--k-min", "3", "--k-max", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: empty range: --")
+        assert captured.err.count("\n") == 1
+    assert main(["mki", "--input", path, "--k-min", "1", "--k-max", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1,1,1,")
+
+
 def test_remark17_command(tmp_path, capsys):
     path = _write(tmp_path / "m4.txt", "x1\nx2\nx3\nx4\n")
     assert main(["remark17", "--input", path]) == 0

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -135,6 +137,29 @@ def test_ideal_equality_is_canonical():
     b = MonomialIdeal(2, ((1, 0),))
     assert a == b
     assert a.generators == ((1, 0),)
+
+
+def test_ideal_is_an_immutable_value():
+    """An ideal compares, hashes and prints by its arity and canonical
+    generators, as the frozen record it replaced did; it is no tuple, so
+    it never equals one, and it iterates its generators.  Assignment is
+    refused, and copies and pickles come back equal."""
+    a = MonomialIdeal(2, ((1, 0), (0, 1), (1, 1)))
+    b = minimalize([(0, 1), (1, 0)], 2)
+    assert a == b and hash(a) == hash(b) == hash((2, ((0, 1), (1, 0))))
+    assert repr(a) == "MonomialIdeal(arity=2, generators=((0, 1), (1, 0)))"
+    assert a != MonomialIdeal(3, ((0, 1, 0), (1, 0, 0)))
+    assert a != (2, ((0, 1), (1, 0)))
+    assert list(a) == [(0, 1), (1, 0)] and len({a, b}) == 1
+    assert MonomialIdeal(arity=2).is_zero
+    with pytest.raises(ValueError):
+        MonomialIdeal(0)
+    with pytest.raises(AttributeError):
+        a.arity = 3
+    with pytest.raises(AttributeError):
+        del a.generators
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is MonomialIdeal and twin == a
 
 
 def test_contains():
@@ -276,7 +301,9 @@ def test_colon_contains_duality():
 def test_quotient_presentation_requires_containment():
     with pytest.raises(ValueError):
         QuotientPresentation(minimalize([(2, 0)], 2), minimalize([(0, 1)], 2))
-    QuotientPresentation(minimalize([(1, 0)], 2), minimalize([(1, 1)], 2))
+    q = QuotientPresentation(numerator=minimalize([(1, 0)], 2),
+                             denominator=minimalize([(1, 1)], 2))
+    assert q.arity == 2 and pickle.loads(pickle.dumps(q)) == q
     with pytest.raises(ArityMismatch):
         QuotientPresentation(unit_ideal(2), minimalize([(1,)], 1))
 

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import operator
+import pickle
 import random
 import sys
 import time
@@ -448,6 +450,40 @@ def test_search_stats_accumulate():
     p = maximal_power_poset(3, 1)
     exists_partition(p, 2, stats=stats)
     assert stats.nodes > 0
+
+
+def test_partition_records_are_values():
+    """The interval records keep the constructors, equality, hashing,
+    truth and text of the frozen records they replaced.  A partition is a
+    tuple of intervals that also names it `intervals`, and a certificate's
+    partition comes back equal from deepcopy and pickle."""
+    partition = sdepth_ideal(maximal_power(3, 1)).partition
+    intervals = tuple(partition)
+    assert len(partition) == len(intervals) == 4
+    assert partition.intervals == intervals and partition[1:] == intervals[1:]
+    assert partition == IntervalPartition(intervals=intervals)
+    assert repr(partition) == f"IntervalPartition(intervals={intervals!r})"
+    for twin in (copy.deepcopy(partition),
+                 pickle.loads(pickle.dumps(partition))):
+        assert type(twin) is IntervalPartition and twin == partition
+    iv = Interval(bottom=(0, 0, 1), top=(0, 1, 1))
+    assert iv == intervals[0] and hash(iv) == hash(((0, 0, 1), (0, 1, 1)))
+    assert repr(iv) == "Interval(bottom=(0, 0, 1), top=(0, 1, 1))"
+    assert not partitions.CheckResult(False, "x")
+    ok = partitions.CheckResult(True)
+    assert ok and ok.reason == "" and ok == partitions.CheckResult(ok=True)
+
+
+def test_search_stats_compare_and_merge():
+    """SearchStats is a mutable record: it compares by its counters, is
+    unhashable, and `merge` adds another's counters to its own."""
+    stats, other = SearchStats(nodes=2), SearchStats(1, 4)
+    stats.merge(other)
+    assert stats == SearchStats(3, 4) != other
+    assert other == SearchStats(1, 4) and stats != (3, 4)
+    assert repr(stats) == "SearchStats(nodes=3, prunes=4)"
+    with pytest.raises(TypeError):
+        hash(stats)
 
 
 def test_to_stanley_decomposition():

@@ -6,6 +6,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bruteforce import product_walk_poset
 from sdepthlab.posets import code_mask
@@ -312,3 +314,26 @@ def test_code_mask_sets_one_bit_per_distinct_code():
         assert code_mask(codes) == sum(1 << c for c in set(codes))
     poset = build_poset(minimalize([(1, 2, 0), (0, 1, 3)], 3))
     assert poset.mask == code_mask(poset.codes)
+
+
+_gens = st.lists(st.tuples(*(st.integers(0, 2),) * 4), min_size=1,
+                 max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), gens=_gens, shift=st.tuples(
+    *(st.integers(0, 2),) * 4), data=st.data())
+def test_monomials_decodes_as_monomial(n, gens, shift, data):
+    """`monomials` decodes a list of codes axis by axis to what `monomial`
+    gives one code at a time, on posets whose sub-box starts at lo != 0,
+    for any cells of the sub-box in any order, and for no codes."""
+    shift = shift[:n]
+    assume(any(shift))
+    p = build_poset(minimalize(
+        [tuple(a + b for a, b in zip(g, shift)) for g in gens], n))
+    assert any(p._lo)
+    codes = data.draw(st.lists(st.integers(0, math.prod(p.dims) - 1),
+                               max_size=20))
+    assert p.monomials(codes) == [p.monomial(c) for c in codes]
+    assert p.monomials(p.codes) == list(p.elements)
+    assert p.monomials([]) == []

@@ -2,6 +2,7 @@ import pytest
 
 from sdepthlab import (
     MkiRow,
+    SaturationReport,
     SweepRow,
     alpha_formula,
     check_counting_inequality,
@@ -76,6 +77,18 @@ def test_ideal_saturation_report():
     assert report.saturation == minimalize([(1, 0)], 2)
     saturated = ideal_saturation_report(minimalize([(1, 1)], 2))
     assert saturated.is_saturated and saturated.witness is None
+
+
+def test_saturation_report_keeps_its_invariant():
+    """A report is saturated exactly when it has no witness; a record that
+    says otherwise is refused."""
+    ideal = minimalize([(2, 0), (1, 1)], 2)
+    report = ideal_saturation_report(ideal)
+    assert report == SaturationReport(ideal, minimalize([(1, 0)], 2),
+                                      False, (1, 0))
+    for is_saturated, witness in ((True, (1, 0)), (False, None)):
+        with pytest.raises(AssertionError):
+            SaturationReport(ideal, ideal, is_saturated, witness)
 
 
 def test_janet_examples():
@@ -189,6 +202,13 @@ def test_sweep_csv_rendering():
     assert lines[0] == SWEEP_CSV_HEADER
     assert lines[1].startswith("1,1,1,1,1,true,ok,")
     assert len(lines) == 3
+
+
+def test_csv_headers_are_the_row_fields():
+    """`rows_to_csv` names the fields of the row type in order, so the two
+    CSV schemas follow the rows: a header alone for no rows."""
+    assert rows_to_csv(SweepRow, []) == SWEEP_CSV_HEADER + "\n"
+    assert rows_to_csv(MkiRow, []) == MKI_CSV_HEADER + "\n"
 
 
 def test_mki_sweep_frozen_small_case():

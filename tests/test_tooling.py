@@ -11,14 +11,17 @@ module name.  The package metadata must name the engine version, the
 sources must parse as the oldest Python the metadata allows, and they
 import nothing outside the standard library.  A search never touches the
 interpreter's recursion limit.  Every name README's library overview
-gives a module is still there."""
+gives a module is still there.  Importing the package and its command line
+loads neither `dataclasses` nor `inspect`."""
 
 import ast
 import importlib
 import importlib.util
 import itertools
 import keyword
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -149,3 +152,18 @@ def test_readme_library_overview_names_only_what_exists():
             assert any(hasattr(owner, word)
                        for owner in (module, CharPoset, sdepthlab)), (
                 f"README names `{word}` in the {name} row")
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """Every CLI process pays for the package's imports.  Its records are
+    namedtuples and slotted classes, so a fresh interpreter that imports
+    `sdepthlab` and `sdepthlab.cli` has loaded neither `dataclasses` nor
+    the `inspect` it pulls in, nor built a class through them."""
+    code = ("import sys, sdepthlab, sdepthlab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout == "[]\n"
