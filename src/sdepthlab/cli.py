@@ -29,7 +29,7 @@ from .formats import (
     parse_ideal,
     parse_ideal_structured,
 )
-from .monomials import MonomialIdeal, unit_ideal
+from .monomials import DEFAULT_ARITY_CAP, MonomialIdeal, unit_ideal
 from .partitions import (
     Interval,
     IntervalPartition,
@@ -176,6 +176,7 @@ def _load_ideals(args: argparse.Namespace) -> list[MonomialIdeal]:
     Text inputs infer their arity from the largest variable index; the
     shared arity is the maximum over all inputs, --arity and the --g
     length.  Structured inputs carry an explicit n and must match it.
+    A shared arity above `DEFAULT_ARITY_CAP` is refused before any padding.
     Each input is parsed once: a text input inferred below the shared
     arity is padded with zero exponents, which is what parsing it at that
     arity gives.
@@ -187,6 +188,8 @@ def _load_ideals(args: argparse.Namespace) -> list[MonomialIdeal]:
     n = max([ideal.arity for ideal in parsed]
             + ([len(args.g)] if args.g else [])
             + ([args.arity] if args.arity else []))
+    if n > DEFAULT_ARITY_CAP:
+        raise ValueError(f"arity {n} exceeds cap {DEFAULT_ARITY_CAP}")
     ideals = []
     for text, ideal in zip(texts, parsed):
         if ideal.arity < n:
@@ -237,14 +240,12 @@ _encode_scalar = json.JSONEncoder().encode
 _INT, _LIST = {int}, {list}
 
 
-def _int_lists(value, ints, depth: int, rectangular: bool,
-               indent: str) -> str:
-    """`_json_text` of a list nested `depth` lists deep, every list
-    nonempty, whose leaves are the plain ints `ints` in order, as an int
-    is its own repr in JSON.  A flat list is one join of reprs.  A deeper
-    nest is one template of %d slots, then one % for all the ints; a
-    rectangular nest, whose lists at each depth have one length, builds
-    one template string per depth, any other nest one per list."""
+def _int_lists(value, ints, depth: int, indent: str) -> str:
+    """`_json_text` of a rectangular list nested `depth` lists deep, whose
+    lists at each depth have one nonzero length and whose leaves are the
+    plain ints `ints` in order, as an int is its own repr in JSON.  A flat
+    list is one join of reprs.  A deeper nest is one template of %d slots,
+    one template string per depth, then one % for all the ints."""
     if not depth:
         inner = indent + "  "
         return ("[\n" + inner + (",\n" + inner).join(map(repr, ints)) + "\n"
@@ -252,12 +253,10 @@ def _int_lists(value, ints, depth: int, rectangular: bool,
 
     def template(value, depth: int, indent: str) -> str:
         inner = indent + "  "
-        if not depth:
-            items = ["%d"] * len(value)
-        elif rectangular:
+        if depth:
             items = [template(value[0], depth - 1, inner)] * len(value)
         else:
-            items = [template(item, depth - 1, inner) for item in value]
+            items = ["%d"] * len(value)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
     return template(value, depth, indent) % tuple(ints)
@@ -266,10 +265,11 @@ def _int_lists(value, ints, depth: int, rectangular: bool,
 def _json_text(value, indent: str) -> str:
     """`value` as `json.dumps(value, indent=2)` writes it, nested under
     `indent`, for documents of dicts with string keys, lists and scalars.
-    A nest of nonempty lists with plain ints at the bottom, such as the
-    intervals of a certificate, takes one type test and one length test
-    per depth for the whole nest and then `_int_lists`; the type test
-    leaves out bools, which JSON spells in lower case."""
+    A rectangular nest of nonempty lists with plain ints at the bottom,
+    such as the intervals of a certificate, takes one type test and one
+    length test per depth for the whole nest and then `_int_lists`; the
+    type test leaves out bools, which JSON spells in lower case.  Any other
+    list, a ragged nest among them, takes the generic path, item by item."""
     if isinstance(value, dict) and value:
         inner = indent + "  "
         body = (",\n" + inner).join(
@@ -277,13 +277,13 @@ def _json_text(value, indent: str) -> str:
             for key, item in value.items())
         return "{\n" + inner + body + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        depth, level, rectangular = 0, value, True
-        while (types := set(map(type, level))) == _LIST and all(level):
-            rectangular = rectangular and len(set(map(len, level))) == 1
+        depth, level = 0, value
+        while ((types := set(map(type, level))) == _LIST
+               and len(set(map(len, level))) == 1 and level[0]):
             level = list(itertools.chain.from_iterable(level))
             depth += 1
         if types == _INT:
-            return _int_lists(value, level, depth, rectangular, indent)
+            return _int_lists(value, level, depth, indent)
         inner = indent + "  "
         body = (",\n" + inner).join(
             _json_text(item, inner) for item in value)

@@ -8,7 +8,8 @@ Two interchangeable representations:
 * structured (JSON), an object ``{"n": <int>, "generators": [[..], ..]}``
   with exponent arrays of length ``n``.
 
-Both reject negative exponents and wrong-length arrays.
+Both reject negative exponents and wrong-length arrays, and text rejects
+a variable index above ``DEFAULT_ARITY_CAP``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from __future__ import annotations
 import json
 import re
 
-from .monomials import DEFAULT_EXPONENT_CAP, MonomialIdeal, minimalize
+from .monomials import (
+    DEFAULT_ARITY_CAP,
+    DEFAULT_EXPONENT_CAP,
+    MonomialIdeal,
+    minimalize,
+)
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 
@@ -46,6 +52,9 @@ def parse_monomial_token(token: str, line: int, column: int) -> dict[int, int]:
         if index < 1:
             raise IdealParseError(
                 f"variables start at x1, got {factor!r}", line, col)
+        if index > DEFAULT_ARITY_CAP:
+            raise IdealParseError(
+                f"variable x{index} exceeds cap {DEFAULT_ARITY_CAP}", line, col)
         exponent = int(m.group(2)) if m.group(2) is not None else 1
         if exponent < 0:
             raise IdealParseError(
@@ -105,6 +114,8 @@ def parse_ideal_structured(data) -> MonomialIdeal:
     n = data["n"]
     if not is_json_int(n) or n < 1:
         raise IdealParseError(f"'n' must be a positive integer, got {n!r}", 1)
+    if not isinstance(data["generators"], (list, tuple)):
+        raise IdealParseError("'generators' must be an array", 1)
     gens = []
     for i, row in enumerate(data["generators"]):
         if not isinstance(row, (list, tuple)) or len(row) != n:

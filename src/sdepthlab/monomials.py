@@ -18,6 +18,9 @@ Monomial = tuple[int, ...]
 # Per-coordinate exponent cap for validated inputs.  Boxes beyond this are
 # unsearchable anyway; the cap keeps parsed data sane.
 DEFAULT_EXPONENT_CAP = 2**15 - 1
+# Arity cap for parsed inputs: a few bytes can name a variable x99999999999,
+# and every generator is one tuple of that length.
+DEFAULT_ARITY_CAP = 2**15 - 1
 
 
 class ArityMismatch(ValueError):
@@ -237,13 +240,17 @@ def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
 
 def maximal_power(arity: int, k: int) -> MonomialIdeal:
     """The k-th power of the maximal ideal (x1,...,xn): generated by all
-    monomials of total degree exactly k."""
+    monomials of total degree exactly k, one per multiset of k variables."""
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    gens = [g for g in itertools.product(range(k + 1), repeat=arity)
-            if sum(g) == k]
+    gens = []
+    for variables in itertools.combinations_with_replacement(range(arity), k):
+        g = [0] * arity
+        for j in variables:
+            g[j] += 1
+        gens.append(g)
     ideal = minimalize(gens, arity)
     assert len(ideal.generators) == math.comb(arity + k - 1, arity - 1)
     return ideal

@@ -76,9 +76,12 @@ masks, and finds the minimal uncovered elements by shifts:
   it lies, and the ceiling cells of each axis are one periodic mask.  So
   the rank classes take one step per axis: with R_r the elements on
   exactly r of the ceilings so far, ceiling C makes the new R_r equal to
-  R_r & ~C | R_(r-1) & C.  The counting prune reads the rank of an
-  element it walks off the digits of its code, the digits at the ceiling
-  of their axis, so no Python loop runs over the elements for ranks.
+  R_r & ~C | R_(r-1) & C.  An axis of side 1 puts every cell on its
+  ceiling and only shifts the classes up by one, so those axes add one
+  empty class each at the end, not a pass over all the classes each.
+  The counting prune reads the rank of an element it walks off the
+  digits of its code, the digits at the ceiling of their axis, so no
+  Python loop runs over the elements for ranks.
 
   Levels by doubling.  The degree of a cell is sum(lo) plus the sum of
   its digits, so the cells of one digit sum are those of one degree.
@@ -419,9 +422,11 @@ class _Searcher:
         # ranks[r]: elements on exactly r ceilings ("Ranks by ceilings");
         # rank_below[s]: elements of rank < s
         ranks = [self.full_mask]
-        for _, _, ceiling, _ in self.lines:
-            ranks = [below & ~ceiling | on & ceiling
-                     for below, on in zip(ranks + [0], [0] + ranks)]
+        for _, dim, ceiling, _ in self.lines:
+            if dim > 1:
+                ranks = [below & ~ceiling | on & ceiling
+                         for below, on in zip(ranks + [0], [0] + ranks)]
+        ranks = [0] * poset.dims.count(1) + ranks
         self.rank_below = list(itertools.accumulate(
             ranks, operator.or_, initial=0))
         self.cycle = self._variable_cycle()
@@ -804,7 +809,6 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
     reported, in interval order and within an interval in lex order of its
     cells; an uncovered element is reported lex-least first."""
     g, lo, strides = poset.g, poset._lo, poset.strides
-    monomial = poset.monomial
     n, origin = len(g), sum(map(operator.mul, lo, strides))
     elements = left = poset.mask
     boxes: dict[tuple[int, ...], int] = {}
@@ -830,13 +834,14 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
         bad = left & cells  # the cells that were not left
         if bad:
             w = (bad & -bad).bit_length() - 1
+            [cell] = poset.monomials([w])
             if not elements >> w & 1:
                 return CheckResult(False, f"interval [{bottom}, {top}] "
-                                   f"leaves the poset at {monomial(w)}")
-            return CheckResult(False, f"double cover at {monomial(w)}")
+                                   f"leaves the poset at {cell}")
+            return CheckResult(False, f"double cover at {cell}")
     if left:
-        return CheckResult(False, "uncovered element "
-                           f"{monomial((left & -left).bit_length() - 1)}")
+        [cell] = poset.monomials([(left & -left).bit_length() - 1])
+        return CheckResult(False, f"uncovered element {cell}")
     return CheckResult(True)
 
 

@@ -20,7 +20,7 @@ elements only, read off the membership bytes in one pass of C loops that
 allocates nothing per cell.  The search and the certificate checker work
 on those codes and on the one element mask built from them (`CharPoset.mask`),
 where an interval is a shifted box shape (`partitions`), and decode a
-monomial only where they report one (`CharPoset.monomial`).  The decoded
+monomial only where they report one (`CharPoset.monomials`).  The decoded
 element tuples (`CharPoset.elements`) are built on first use, for callers
 outside the engine.
 """
@@ -134,16 +134,16 @@ class CharPoset:
     exponent tuples and is a linear extension of divisibility.  They are
     found by the membership DP over the sub-box [lo, g] (module docstring).
     `codes[i]` is the cell code of element i in that sub-box, whose side
-    lengths are `dims` and whose axis strides are `strides`; `monomial`
-    decodes one code.  The build keeps only the codes, read off the
-    membership bytes.  `mask`, the element mask read by the search and the
-    checker, is built from them on first use; so is `elements`, the decoded
-    tuples, which nothing in the engine reads and which serve callers
-    outside it.  `code` encodes a monomial once and bisects the codes for
-    it, for `in`, `rho` and `partitions.counting_prune`.  A sub-box of more
-    cells than an index can count is refused with ValueError before any
-    allocation; the message names the number of axes, not the corner,
-    which can have thousands of coordinates.
+    lengths are `dims` and whose axis strides are `strides`; `monomials`
+    decodes a sequence of codes.  The build keeps only the codes, read off
+    the membership bytes.  `mask`, the element mask read by the search and
+    the checker, is built from them on first use; so is `elements`, the
+    decoded tuples, which nothing in the engine reads and which serve
+    callers outside it.  `code` encodes a monomial once and bisects the
+    codes for it, for `in`, `rho` and `partitions.counting_prune`.  A
+    sub-box of more cells than an index can count is refused with
+    ValueError before any allocation; the message names the number of
+    axes, not the corner, which can have thousands of coordinates.
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -209,15 +209,10 @@ class CharPoset:
         exponents less that of lo."""
         return sum(map(operator.mul, u, self.strides)) - self._origin
 
-    def monomial(self, code: int) -> Monomial:
-        """The cell of the sub-box [lo, g] with this code, as a monomial."""
-        return tuple(a + code // t % d
-                     for a, t, d in zip(self._lo, self.strides, self.dims))
-
     def monomials(self, codes) -> list[Monomial]:
-        """The cells with the codes of the sequence `codes`, as monomials,
-        in order: each axis' exponents in one comprehension over the codes,
-        then one zip, where `monomial` makes one generator per code."""
+        """The cells of the sub-box [lo, g] with the codes of the sequence
+        `codes`, as monomials, in order: each axis' exponents in one
+        comprehension over the codes, then one zip."""
         return list(zip(*[[a + c // t % d for c in codes] for a, t, d
                           in zip(self._lo, self.strides, self.dims)]))
 

@@ -29,6 +29,12 @@ def degrevlex_key_walk(u):
     return (sum(u), tuple(-e for e in reversed(u)))
 
 
+def maximal_power_filter(n, k):
+    """The generators of m^k in n variables by a filter over the whole box
+    [0, k]^n: every exponent tuple of total degree k, in lex order."""
+    return [u for u in product(range(k + 1), repeat=n) if sum(u) == k]
+
+
 def box_interval(bottom, top):
     return list(product(*(range(a, b + 1) for a, b in zip(bottom, top))))
 

@@ -14,8 +14,14 @@ from hypothesis import strategies as st
 import sdepthlab
 from sdepthlab import cli, partitions, sdepth_ideal
 from sdepthlab.cli import _ideal_hash, build_parser, main
-from sdepthlab.formats import ideal_to_structured, parse_ideal
-from sdepthlab.monomials import maximal_power, minimalize, unit_ideal
+from sdepthlab.formats import IdealParseError, ideal_to_structured, parse_ideal
+from sdepthlab.monomials import (
+    DEFAULT_ARITY_CAP,
+    DEFAULT_EXPONENT_CAP,
+    maximal_power,
+    minimalize,
+    unit_ideal,
+)
 
 
 def _write(path, text):
@@ -372,27 +378,31 @@ def _int_nests(draw):
     return nest(0)
 
 
-def _int_nest_depth(value):
-    """The depth of a nest of nonempty lists with plain ints, all at one
-    depth, at the bottom; None for anything else."""
+def _int_nest_shape(value):
+    """The list lengths, one per depth, of a rectangular nest of nonempty
+    lists with plain ints at the bottom, whose lists at each depth have one
+    length; () for a plain int, None for anything else."""
     if type(value) is int:
-        return 0
+        return ()
     if type(value) is not list or not value:
         return None
-    depths = {_int_nest_depth(item) for item in value}
-    return None if None in depths or len(depths) > 1 else depths.pop() + 1
+    shapes = {_int_nest_shape(item) for item in value}
+    if None in shapes or len(shapes) > 1:
+        return None
+    return (len(value),) + shapes.pop()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_json_documents, _int_nests()))
 def test_document_writer_matches_json_dumps(document):
     """The bytes of json.dumps(indent=2), and the int-nest path taken for
-    the whole document exactly when it is a nest of nonempty lists of
-    plain ints: a bool or an empty list sends it down the generic path."""
+    the whole document exactly when it is a rectangular nest of nonempty
+    lists of plain ints: a bool, an empty list or a ragged nest sends it
+    down the generic path."""
     with mock.patch.object(cli, "_int_lists", wraps=cli._int_lists) as spy:
         assert cli._json_text(document, "") == json.dumps(document, indent=2)
     took = any(call.args[0] is document for call in spy.call_args_list)
-    assert took == bool(_int_nest_depth(document))
+    assert took == bool(_int_nest_shape(document))
 
 
 @pytest.mark.parametrize("command, ideals, digest", [
@@ -549,6 +559,67 @@ def test_box_too_large_to_index_exits_2(tmp_path, capsys):
         f"x{j}^32767" for j in range(1, 6)) + "\n")
     assert main(["sdepth", "--input", far]) == 0
     assert "sdepth = 5" in capsys.readouterr().out
+
+
+def test_arity_above_the_cap_exits_2(tmp_path, capsys):
+    """Every route to the arity is bounded before anything is built per
+    variable: a variable index in a text file, reported at its line and
+    column, then --arity, --g and a structured n, refused by the shared
+    arity.  A 13-byte file x99999999999 used to build a tuple of 10^11
+    entries before the deadline started; at the cap itself, x32767 is
+    still solved."""
+    over = DEFAULT_ARITY_CAP + 1
+    x1 = _write(tmp_path / "x1.txt", "x1\n")
+    text = _write(tmp_path / "over.txt", f"# far\n  x1*x{over}\n")
+    structured = _write(tmp_path / "over.json",
+                        f'{{"n": {over}, "generators": []}}')
+    for argv, reason in (
+            (["--input", text], f"parse error: line 2, column 6: variable "
+                                f"x{over} exceeds cap {DEFAULT_ARITY_CAP}"),
+            (["--input", x1, "--arity", str(over)], None),
+            (["--input", x1, "--g", ",".join(["1"] * over)], None),
+            (["--input", structured], None)):
+        assert main(["sdepth", *argv]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [reason or f"error: arity {over} exceeds cap "
+                                   f"{DEFAULT_ARITY_CAP}"]
+    with pytest.raises(IdealParseError, match="line 1, column 1"):
+        parse_ideal("x99999999999\n")
+    at_cap = _write(tmp_path / "cap.txt", f"x{DEFAULT_ARITY_CAP}\n")
+    assert main(["sdepth", "--input", at_cap]) == 0
+    assert f"sdepth = {DEFAULT_ARITY_CAP}" in capsys.readouterr().out
+
+
+# JSON values for the structured fields: exponents stay in [-1, 3] or go
+# past the cap, so a valid ideal's box holds at most 4^4 cells; n is any
+# integer, so it also goes past the arity cap.  Generators are often rows
+# of one length, so that some files hold an ideal.
+_small_exponents = st.integers(-1, 3) | st.sampled_from(
+    [DEFAULT_EXPONENT_CAP + 1, 2**64])
+_rows = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_small_exponents, min_size=n, max_size=n), max_size=4))
+
+
+def _json_values(ints):
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.floats() | st.text(max_size=3),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=3), children, max_size=3),
+        max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4) | _json_values(st.integers()),
+       generators=_rows | _json_values(_small_exponents))
+def test_structured_input_with_any_fields_exits_0_or_2(
+        tmp_path_factory, n, generators):
+    """`main` on a structured file with any JSON value in `n` and in
+    `generators` solves it or exits 2, and never raises: a `generators` of
+    5 or null raised a TypeError traceback."""
+    path = tmp_path_factory.mktemp("structured") / "i.json"
+    path.write_text(json.dumps({"n": n, "generators": generators}),
+                    encoding="utf-8")
+    assert main(["sdepth", "--input", str(path)]) in (0, 2)
 
 
 def test_out_of_memory_exits_2(m5_file, monkeypatch, capsys):

@@ -72,6 +72,9 @@ def test_parse_structured_rejects():
         parse_ideal_structured('{"n": 1,')
     with pytest.raises(IdealParseError):
         parse_ideal_structured({"n": 2, "generators": [[1, "a"]]})
+    for generators in (5, None, "x1", {"0": [1, 0]}):
+        with pytest.raises(IdealParseError, match="must be an array"):
+            parse_ideal_structured({"n": 2, "generators": generators})
     # JSON true and false decode to bools, which are Python ints
     for data in ({"n": True, "generators": [[True]]},
                  {"n": 1, "generators": [[False]]},

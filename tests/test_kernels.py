@@ -195,14 +195,38 @@ def _power(permutation, c, k):
     return c
 
 
+def _side_one_posets():
+    """Posets with axes of side 1 first, last, in between and in two
+    places: m^2 in three variables times x_j^2 for each inserted variable
+    x_j, so lo_j = g_j = 2, and S/J for J the same m^2 with exponent 0 in
+    the inserted variables, so lo_j = g_j = 0."""
+    posets = []
+    for places in ((0,), (3,), (1,), (0, 4), (1, 3)):
+        n = 3 + len(places)
+        for fill in (2, 0):
+            gens = []
+            for u in maximal_power(3, 2).generators:
+                v = list(u)
+                for j in places:
+                    v.insert(j, fill)
+                gens.append(v)
+            ideal = minimalize(gens, n)
+            p = build_poset(ideal) if fill else build_poset(unit_ideal(n),
+                                                            ideal)
+            assert [j for j in range(n) if p.dims[j] == 1] == list(places)
+            posets.append(p)
+    return posets
+
+
 def test_rank_and_fixed_point_masks_match_their_definitions(oracle_posets):
     """The rank classes read off the ceiling masks ("Ranks by ceilings"),
     the rank in the record of every element the counting prune walks, and
     the level masks, against `CharPoset.rho` and the digit sum of each
     element; the cells that sigma^p fixes against
-    p steps of the cycle.  The posets include one-cell axes, the sparse
-    S/m^2 in 9 variables, an empty poset and posets the cycle fixes."""
-    posets = oracle_posets + _doubling_posets() + [
+    p steps of the cycle.  The posets include one-cell axes, also first,
+    last and in between (`_side_one_posets`), the sparse S/m^2 in 9
+    variables, an empty poset and posets the cycle fixes."""
+    posets = oracle_posets + _doubling_posets() + _side_one_posets() + [
         build_poset(unit_ideal(9), maximal_power(9, 2)),
         build_poset(maximal_power(3, 2), maximal_power(3, 2)),
         build_poset(maximal_power(4, 2)),
@@ -671,8 +695,9 @@ def test_records_hold_the_orbit_of_every_walked_element(oracle_posets):
             continue
         partitions.sdepth_poset(p)
         code = dict(zip(p.elements, p.codes))
+        element = dict(zip(p.codes, p.elements))
         for c, (*_, orbit, size) in searcher._records.items():
-            u = p.monomial(c)
+            u = element[c]
             images = {code[u[-j:] + u[:-j]] for j in range(p.arity)}
             assert (orbit, size) == (sum(1 << a for a in images), len(images))
             sizes.add((p.arity, size))

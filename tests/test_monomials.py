@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from bruteforce import (
     as_monomial_walk,
     brute_force_saturation_members,
     degrevlex_key_walk,
+    maximal_power_filter,
     member_of_ideal,
 )
 from sdepthlab import (
@@ -248,6 +250,20 @@ def test_maximal_power():
         maximal_power(0, 1)
     with pytest.raises(ValueError):
         maximal_power(2, 0)
+    # against the filter over the whole box [0, k]^n
+    for n in range(1, 7):
+        for k in range(1, 5):
+            ideal = maximal_power(n, k)
+            assert ideal.arity == n
+            assert sorted(ideal.generators) == maximal_power_filter(n, k)
+
+
+def test_maximal_power_does_not_walk_the_box():
+    """m in 22 variables has 22 generators; the filter over its box of
+    2^22 cells took 1.1 s on a 2-core VM with CPython 3.11."""
+    start = time.perf_counter()
+    assert num_min_gens(maximal_power(22, 1)) == 22
+    assert time.perf_counter() - start < 0.5
 
 
 def test_num_min_gens():

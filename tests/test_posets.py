@@ -220,7 +220,7 @@ def _assert_matches_product_walk(p):
     assert p.codes == tuple(c for c, _ in found)
     assert p.elements == tuple(u for _, u in found)
     assert p.mask == sum(1 << c for c, _ in found)
-    assert [p.monomial(c) for c in range(len(cells))] == cells
+    assert p.monomials(range(len(cells))) == cells
     assert len(p) == len(found)
     index = {u: i for i, (_, u) in enumerate(found)}
     for u in cells:
@@ -323,17 +323,19 @@ _gens = st.lists(st.tuples(*(st.integers(0, 2),) * 4), min_size=1,
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 4), gens=_gens, shift=st.tuples(
     *(st.integers(0, 2),) * 4), data=st.data())
-def test_monomials_decodes_as_monomial(n, gens, shift, data):
-    """`monomials` decodes a list of codes axis by axis to what `monomial`
-    gives one code at a time, on posets whose sub-box starts at lo != 0,
-    for any cells of the sub-box in any order, and for no codes."""
+def test_monomials_decodes_as_the_product_walk(n, gens, shift, data):
+    """`monomials` decodes a list of codes axis by axis to the cells that
+    the product walk of `tests/bruteforce.py` numbers by those codes, on
+    posets whose sub-box starts at lo != 0, for any cells of the sub-box
+    in any order, and for no codes."""
     shift = shift[:n]
     assume(any(shift))
     p = build_poset(minimalize(
         [tuple(a + b for a, b in zip(g, shift)) for g in gens], n))
     assert any(p._lo)
-    codes = data.draw(st.lists(st.integers(0, math.prod(p.dims) - 1),
-                               max_size=20))
-    assert p.monomials(codes) == [p.monomial(c) for c in codes]
+    _, cells = product_walk_poset(p.numerator.generators,
+                                  p.denominator.generators, p.g)
+    codes = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=20))
+    assert p.monomials(codes) == [cells[c] for c in codes]
     assert p.monomials(p.codes) == list(p.elements)
     assert p.monomials([]) == []
