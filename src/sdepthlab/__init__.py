@@ -6,21 +6,16 @@ from .monomials import (
     MonomialIdeal,
     QuotientPresentation,
     as_monomial,
-    colon,
-    colon_ideal,
     contains,
     divides,
-    gcd,
     ideal_intersection,
     ideal_product,
-    ideal_sum,
     lcm,
     maximal_power,
     minimalize,
     num_min_gens,
     saturate,
     saturate_variable,
-    total_degree,
     unit_ideal,
     zero_ideal,
 )

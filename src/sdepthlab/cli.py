@@ -23,8 +23,8 @@ from .formats import (
     IdealParseError,
     ideal_str,
     ideal_to_structured,
-    is_json_int,
     is_structured,
+    json_ints,
     monomial_str,
     parse_ideal,
     parse_ideal_structured,
@@ -42,7 +42,7 @@ from .partitions import (
     verify_partition,  # noqa: F401  (wrapped by perfbench/tracing.py)
     verify_stanley_decomposition,
 )
-from .posets import alpha_formula, build_poset, default_box
+from .posets import alpha_formula, build_poset, check_indexable, default_box
 from .structure import (
     MkiRow,
     SweepRow,
@@ -400,8 +400,9 @@ def _space_str(monomial, variables) -> str:
 
 def cmd_janet(args: argparse.Namespace) -> int:
     [ideal] = _load_ideals(args)
-    decomposition = janet_decomposition(ideal)
     cap = sum(default_box(unit_ideal(ideal.arity), ideal))
+    check_indexable((cap + 1,) * ideal.arity)  # the check cube, refused early
+    decomposition = janet_decomposition(ideal)
     check = verify_stanley_decomposition(unit_ideal(ideal.arity), ideal,
                                          decomposition, cap)
     if not check:
@@ -496,29 +497,10 @@ def cmd_remark17(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_ints(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple, or TypeError if one is not a JSON integer:
-    `int()` would truncate 2.9 and accept "2"."""
-    values = tuple(values)
-    for value in values:
-        if not is_json_int(value):
-            raise TypeError(f"{what} holds {value!r}, not an integer")
-    return values
-
-
 def _intervals(value) -> IntervalPartition:
     """A certificate's `intervals`, a list of [bottom, top] pairs of
-    integer lists, or TypeError.  One type set covers every exponent; the
-    per-value loop of `_json_ints` runs only to name a bad one."""
-    chain = itertools.chain.from_iterable
-    if (type(value) is not list or not set(map(type, value)) <= {list}
-            or not set(map(len, value)) <= {2}
-            or not set(map(type, chain(value))) <= {list}):
-        raise TypeError("intervals is not a list of [bottom, top] lists")
-    if not set(map(type, chain(chain(value)))) <= {int}:
-        for bottom, top in value:
-            _json_ints(bottom, "an interval bottom")
-            _json_ints(top, "an interval top")
+    integer lists, or TypeError from `json_ints`."""
+    json_ints(value, "intervals", None, 2, None)
     return IntervalPartition(tuple(
         Interval(tuple(bottom), tuple(top)) for bottom, top in value))
 
@@ -532,8 +514,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         numerator = parse_ideal_structured(document["numerator"])
         denominator = parse_ideal_structured(document["denominator"])
-        g = _json_ints(document["g"], "g")
-        (s,) = _json_ints([document["s"]], "s")
+        g = tuple(json_ints(document["g"], "g", None))
+        (s,) = json_ints(document["s"], "s")
         intervals = _intervals(document["intervals"])
         stored_hash = document["ideal_hash"]
     except (KeyError, TypeError) as exc:

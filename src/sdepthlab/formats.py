@@ -14,8 +14,10 @@ a variable index above ``DEFAULT_ARITY_CAP``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+import reprlib
 
 from .monomials import (
     DEFAULT_ARITY_CAP,
@@ -95,11 +97,33 @@ def parse_ideal_text(text: str, arity: int | None = None) -> MonomialIdeal:
     return minimalize(gens, n)
 
 
-def is_json_int(value) -> bool:
-    """Whether a decoded JSON value is an integer.  JSON has no separate
-    integer type, and Python decodes true and false as bools, which are
-    ints, so floats, strings and bools all fail."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_ARRAYS, _INTS = {list, tuple}, {int}
+
+
+def json_ints(value, what: str, *lengths: int | None) -> list[int]:
+    """The integers of `value`, in document order: arrays nested
+    `len(lengths)` deep, each array at depth d holding `lengths[d]` items
+    (any number where that is None), with integers at the bottom; with no
+    lengths, `value` is one integer.  Anything else is a TypeError naming
+    `what` and the first bad part of the shallowest depth that has one.
+    One set of types, and one of lengths, clears a whole depth: JSON has
+    no integer type of its own, and Python decodes true and false as
+    bools, whose type is not int, so floats, strings and bools all fail.
+    A depth is walked item by item only to name its first bad part."""
+    level = [value]
+    for length in lengths:
+        if not set(map(type, level)) <= _ARRAYS or (
+                length is not None and not set(map(len, level)) <= {length}):
+            bad = next(item for item in level if type(item) not in _ARRAYS
+                       or length not in (None, len(item)))
+            of = "" if length is None else f" of length {length}"
+            raise TypeError(f"{what}: {reprlib.repr(bad)} must be an "
+                            f"array{of}")
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= _INTS:
+        bad = next(item for item in level if type(item) is not int)
+        raise TypeError(f"{what}: {reprlib.repr(bad)} must be an integer")
+    return level
 
 
 def parse_ideal_structured(data) -> MonomialIdeal:
@@ -112,24 +136,19 @@ def parse_ideal_structured(data) -> MonomialIdeal:
     if not isinstance(data, dict) or "n" not in data or "generators" not in data:
         raise IdealParseError("expected an object with fields 'n' and 'generators'", 1)
     n = data["n"]
-    if not is_json_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise IdealParseError(f"'n' must be a positive integer, got {n!r}", 1)
-    if not isinstance(data["generators"], (list, tuple)):
-        raise IdealParseError("'generators' must be an array", 1)
-    gens = []
-    for i, row in enumerate(data["generators"]):
-        if not isinstance(row, (list, tuple)) or len(row) != n:
-            raise IdealParseError(
-                f"generator {i} must be an integer array of length {n}", 1)
-        for e in row:
-            if not is_json_int(e) or e < 0:
-                raise IdealParseError(
-                    f"generator {i} has invalid exponent {e!r}", 1)
-            if e > DEFAULT_EXPONENT_CAP:
-                raise IdealParseError(f"generator {i} exponent {e} exceeds "
-                                      f"cap {DEFAULT_EXPONENT_CAP}", 1)
-        gens.append(tuple(row))
-    return minimalize(gens, n)
+    try:
+        exponents = json_ints(data["generators"], "generators", None, n)
+    except TypeError as exc:
+        raise IdealParseError(str(exc), 1) from exc
+    cap = DEFAULT_EXPONENT_CAP
+    if exponents and not 0 <= min(exponents) <= max(exponents) <= cap:
+        at, e = next((at, e) for at, e in enumerate(exponents)
+                     if not 0 <= e <= cap)
+        raise IdealParseError(f"generators[{at // n}][{at % n}] is {e}, "
+                              f"outside [0, {cap}]", 1)
+    return minimalize(data["generators"], n)
 
 
 def is_structured(text: str) -> bool:

@@ -60,18 +60,9 @@ def lcm(u: Monomial, v: Monomial) -> Monomial:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def gcd(u: Monomial, v: Monomial) -> Monomial:
-    _check_same_arity(u, v)
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
 def mul(u: Monomial, v: Monomial) -> Monomial:
     _check_same_arity(u, v)
     return tuple(a + b for a, b in zip(u, v))
-
-
-def total_degree(u: Monomial) -> int:
-    return sum(u)
 
 
 def degrevlex_key(u: Monomial):
@@ -175,11 +166,6 @@ def _check_ideal_arity(i: MonomialIdeal, j: MonomialIdeal) -> None:
         raise ArityMismatch(f"arity mismatch: {i.arity} vs {j.arity}")
 
 
-def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_ideal_arity(i, j)
-    return minimalize(i.generators + j.generators, i.arity)
-
-
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ideal_arity(i, j)
     gens = [mul(f, g) for f in i.generators for g in j.generators]
@@ -190,28 +176,6 @@ def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ideal_arity(i, j)
     gens = [lcm(f, g) for f in i.generators for g in j.generators]
     return minimalize(gens, i.arity)
-
-
-def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """The colon ideal (I : u) = {w : w*u in I}."""
-    if len(u) != ideal.arity:
-        raise ArityMismatch(f"arity mismatch: {len(u)} vs {ideal.arity}")
-    gens = [tuple(max(a - b, 0) for a, b in zip(g, u)) for g in ideal.generators]
-    return minimalize(gens, ideal.arity)
-
-
-def colon_ideal(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """(I : J) = intersection of (I : v) over the generators v of J.
-
-    (I : 0) is the whole ring by convention.
-    """
-    _check_ideal_arity(i, j)
-    if j.is_zero:
-        return unit_ideal(i.arity)
-    result = colon(i, j.generators[0])
-    for v in j.generators[1:]:
-        result = ideal_intersection(result, colon(i, v))
-    return result
 
 
 def saturate_variable(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
@@ -229,8 +193,10 @@ def saturate_variable(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
 def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
     """Total saturation (I : m^infinity) as the intersection of the
     per-variable saturations.  Zero saturates to zero, the unit ideal to
-    itself."""
-    if ideal.is_zero:
+    itself.  When a variable x_j occurs in no generator, (I : x_j^infinity)
+    is I, and the intersection lies between I and it, so it is I: the
+    n - 1 intersections are folded only when every variable occurs."""
+    if ideal.is_zero or not all(map(any, zip(*ideal.generators))):
         return ideal
     result = saturate_variable(ideal, 1)
     for j in range(2, ideal.arity + 1):

@@ -78,15 +78,20 @@ def alpha_enumerate(n: int, k: int, d: int) -> int:
 def default_box(numerator: MonomialIdeal,
                 denominator: MonomialIdeal) -> Monomial:
     """Componentwise max over all generators of both ideals (the lcm
-    exponent).  Any larger box computes the same Stanley depth, it only
-    grows the search space."""
-    n = numerator.arity
-    g = [0] * n
-    for gen in numerator.generators + denominator.generators:
-        for j, e in enumerate(gen):
-            if e > g[j]:
-                g[j] = e
-    return tuple(g)
+    exponent), or zeros when there are none, in one pass of C loops.  Any
+    larger box computes the same Stanley depth, it only grows the search
+    space."""
+    gens = numerator.generators + denominator.generators
+    return tuple(map(max, zip(*gens))) if gens else (0,) * numerator.arity
+
+
+def check_indexable(dims) -> None:
+    """Refuse with ValueError a box with the side lengths `dims` that has
+    more cells than an index can count.  The message names the number of
+    axes, not the sides, as there can be thousands of them."""
+    if math.prod(dims) > sys.maxsize:
+        raise ValueError(f"the box of {len(dims)} axes has too many cells "
+                         "to index")
 
 
 def _weights(dims) -> tuple[int, ...]:
@@ -141,9 +146,8 @@ class CharPoset:
     decoded tuples, which nothing in the engine reads and which serve
     callers outside it.  `code` encodes a monomial once and bisects the
     codes for it, for `in`, `rho` and `partitions.counting_prune`.  A
-    sub-box of more cells than an index can count is refused with
-    ValueError before any allocation; the message names the number of
-    axes, not the corner, which can have thousands of coordinates.
+    sub-box of more cells than an index can count is refused by
+    `check_indexable` before any allocation.
     """
 
     def __init__(self, numerator: MonomialIdeal, denominator: MonomialIdeal,
@@ -155,9 +159,7 @@ class CharPoset:
         gens = numerator.generators
         self._lo = tuple(map(min, zip(*gens))) if gens else tuple(g)
         self.dims = tuple(b - a + 1 for a, b in zip(self._lo, g))
-        if math.prod(self.dims) > sys.maxsize:
-            raise ValueError(f"the box of {len(self.dims)} axes has too "
-                             "many cells to index")
+        check_indexable(self.dims)
         self.strides = _weights(self.dims)
         self._origin = sum(map(operator.mul, self._lo, self.strides))
         # Membership DP: bit 0 marks I, bit 1 marks J, one byte per cell.  A

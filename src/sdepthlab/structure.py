@@ -34,7 +34,7 @@ from .partitions import (
     sdepth_ideal,
     sdepth_quotient,
 )
-from .posets import alpha_formula
+from .posets import alpha_formula, check_indexable
 
 
 class SaturationReport(namedtuple(
@@ -148,12 +148,6 @@ class SweepRow(namedtuple("SweepRow", "n k alpha_k sdepth bound "
 
     __slots__ = ()
 
-    @property
-    def bound_satisfied(self) -> bool | None:
-        if self.sdepth is None:
-            return None
-        return 1 <= self.sdepth <= self.bound
-
 
 def conjecture_sweep(n_values, k_values, *,
                      timeout_s: float = 60.0) -> list[SweepRow]:
@@ -195,13 +189,26 @@ class MkiRow(namedtuple("MkiRow", "k num_gens sdepth status ms nodes")):
 def mki_sweep(ideal: MonomialIdeal, k_values, *,
               timeout_s: float = 60.0) -> list[MkiRow]:
     """For each k, build m^k * I and record |G(m^k I)| plus sdepth(m^k I).
-    k = 0 contributes the row of I itself."""
+    k = 0 contributes the row of I itself.
+
+    A sub-box of m^k * I too large to index is refused before m^k or the
+    product is built, from the sides read off I.  For n >= 2 the sub-box
+    is exactly [lo(I), g(I) + k], lo and g the componentwise minimum and
+    maximum of the generators: x_j^k * h stays minimal for a generator h
+    of largest x_j exponent, as any generator of m^k * I dividing it is
+    x^a * h' with h' | h, so h' = h and a = k e_j; and x_i^k * h with
+    i != j and h of least x_j exponent reaches lo_j.  For n = 1, m^k * I
+    is principal and its sub-box one cell."""
     if ideal.is_zero:
         raise ValueError("need a nonzero ideal")
+    lo = tuple(map(min, zip(*ideal.generators)))
+    hi = tuple(map(max, zip(*ideal.generators)))
     rows = []
     for k in sorted(set(k_values)):
         if k < 0:
             raise ValueError(f"negative power {k}")
+        if ideal.arity > 1:
+            check_indexable([b - a + k + 1 for a, b in zip(lo, hi)])
         scaled = ideal if k == 0 else ideal_product(
             maximal_power(ideal.arity, k), ideal)
         rows.append(MkiRow(k, num_min_gens(scaled),

@@ -590,6 +590,46 @@ def test_arity_above_the_cap_exits_2(tmp_path, capsys):
     assert f"sdepth = {DEFAULT_ARITY_CAP}" in capsys.readouterr().out
 
 
+# Runs `main` on the arguments after -c and prints its exit code and the
+# seconds it took, leaving out the interpreter's start and the imports.
+_TIMED_MAIN = """\
+import sys, time
+from sdepthlab.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["sdepth"], ["quotient", "--input-j"], ["sat"], ["janet"], ["mki"],
+    ["remark17"]], ids=lambda command: command[0])
+def test_every_command_at_the_arity_cap_ends_within_a_second(tmp_path,
+                                                             command):
+    """Each command that reads --input, on the one-line file x32767 (for
+    `quotient`, S/(x32767) with a file "1" as --input), exits 0 or 2
+    within 1 s.  `sat` folded 32,766 intersections of 32,767-tuples, and
+    `mki` and `janet` did quadratic work before refusing a box of 2^32767
+    cells, each for 5 s to minutes.  The command runs in a child, so a
+    regression fails at the child's timeout instead of hanging the run."""
+    at_cap = _write(tmp_path / "cap.txt", f"x{DEFAULT_ARITY_CAP}\n")
+    if command[0] == "quotient":
+        command = [*command, at_cap, "--input", _write(tmp_path / "one.txt",
+                                                       "1\n")]
+    else:
+        command = [*command, "--input", at_cap]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _TIMED_MAIN, *command],
+                          env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert done.returncode == 0, done.stderr
+    code, seconds = done.stdout.split()[-2:]
+    assert code in ("0", "2"), done.stderr
+    assert float(seconds) < 1.0, (command[0], seconds)
+
+
 # JSON values for the structured fields: exponents stay in [-1, 3] or go
 # past the cap, so a valid ideal's box holds at most 4^4 cells; n is any
 # integer, so it also goes past the arity cap.  Generators are often rows

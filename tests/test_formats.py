@@ -14,6 +14,7 @@ from sdepthlab import (
     parse_ideal_structured,
     parse_ideal_text,
 )
+from sdepthlab.formats import json_ints
 
 
 def test_parse_text_basic():
@@ -82,6 +83,23 @@ def test_parse_structured_rejects():
                  '{"n": 2, "generators": [[1.5, 0]]}'):
         with pytest.raises(IdealParseError):
             parse_ideal_structured(data)
+
+
+def test_json_ints_reads_a_nest_and_names_the_first_bad_part():
+    """The leaves come back in document order; a depth is walked only to
+    name its first bad part, and a shallower bad part wins over a deeper
+    one that comes earlier."""
+    assert json_ints(7, "s") == [7]
+    assert json_ints([[[0, 1], [2]], [[3], []]], "iv", None, 2, None) == [
+        0, 1, 2, 3]
+    for value, lengths, message in (
+            (True, (), "s: True must be an integer"),
+            ([[1, 2.0], [3, "4"]], (None, 2), "s: 2.0 must be an integer"),
+            ([[1, "a"], [2]], (None, 2), "s: [2] must be an array of length 2"),
+            ({"0": [1]}, (None,), "s: {'0': [1]} must be an array")):
+        with pytest.raises(TypeError) as exc:
+            json_ints(value, "s", *lengths)
+        assert str(exc.value) == message
 
 
 def test_parse_dispatch():
