@@ -243,21 +243,15 @@ _INT, _LIST = {int}, {list}
 def _int_lists(value, ints, depth: int, indent: str) -> str:
     """`_json_text` of a rectangular list nested `depth` lists deep, whose
     lists at each depth have one nonzero length and whose leaves are the
-    plain ints `ints` in order, as an int is its own repr in JSON.  A flat
-    list is one join of reprs.  A deeper nest is one template of %d slots,
-    one template string per depth, then one % for all the ints."""
-    if not depth:
-        inner = indent + "  "
-        return ("[\n" + inner + (",\n" + inner).join(map(repr, ints)) + "\n"
-                + indent + "]")
+    plain ints `ints` in order: one template of %d slots, one template
+    string per depth, then one % for all the ints, as %d writes a plain
+    int as its repr and an int is its own repr in JSON."""
 
     def template(value, depth: int, indent: str) -> str:
         inner = indent + "  "
-        if depth:
-            items = [template(value[0], depth - 1, inner)] * len(value)
-        else:
-            items = ["%d"] * len(value)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        item = template(value[0], depth - 1, inner) if depth else "%d"
+        return ("[\n" + inner + (",\n" + inner).join([item] * len(value))
+                + "\n" + indent + "]")
 
     return template(value, depth, indent) % tuple(ints)
 

@@ -8,6 +8,7 @@ ideals compare equal and serialize identically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -195,13 +196,19 @@ def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
     per-variable saturations.  Zero saturates to zero, the unit ideal to
     itself.  When a variable x_j occurs in no generator, (I : x_j^infinity)
     is I, and the intersection lies between I and it, so it is I: the
-    n - 1 intersections are folded only when every variable occurs."""
-    if ideal.is_zero or not all(map(any, zip(*ideal.generators))):
+    intersections are folded only when every variable occurs.  When some
+    generator is a pure power of x_j, (I : x_j^infinity) is the unit ideal
+    and leaves the intersection as it is, so it is skipped; when every
+    variable has one, the saturation is the unit ideal."""
+    n, gens = ideal.arity, ideal.generators
+    if ideal.is_zero or not all(map(any, zip(*gens))):
         return ideal
-    result = saturate_variable(ideal, 1)
-    for j in range(2, ideal.arity + 1):
-        result = ideal_intersection(result, saturate_variable(ideal, j))
-    return result
+    powers = {g.index(max(g)) for g in gens if g.count(0) == n - 1}
+    parts = [saturate_variable(ideal, j + 1) for j in range(n)
+             if j not in powers]
+    if not parts:
+        return unit_ideal(n)
+    return functools.reduce(ideal_intersection, parts)
 
 
 def maximal_power(arity: int, k: int) -> MonomialIdeal:

@@ -209,8 +209,10 @@ calls nothing of the search:
   element.  The checker reads the poset's element mask (`CharPoset.mask`),
   as it reads its codes, and builds its own box masks, each axis doubling
   the copies of the mask so far; it still calls nothing of the search.
-  It tests the bottom and top of each interval by code against that
-  element mask, and only after the in-box test lo <= u <= g.  Inside the
+  The strike tests the bottom and top of each interval too: both are
+  cells of [b, t], so one that is no element leaves a bad cell, and only
+  then does the checker look them up (`in`) to name the reason.  It
+  strikes only after the in-box test lo <= b <= t <= g.  Inside the
   sub-box each digit u_j - lo_j lies in [0, dim_j), so distinct tuples get
   distinct codes.  Outside it the code would alias a cell: with two axes
   of side d, the digits (0, d) give the code of (1, 0), and a negative
@@ -363,11 +365,11 @@ class _Searcher:
     Masks are over sub-box cell codes (module docstring); `full_mask` is
     the poset's element mask (`CharPoset.mask`).  The set-up keeps masks
     only, none per element.  Kept when first used: shapes, by code
-    difference; the cells that sigma^p fixes, per period p; and the
-    `record` of an element, one entry with its covers, digit sum, rank,
-    orbit and orbit size, when the counting prune first walks it.  The
-    candidate tops of a bottom are built when a decision first branches
-    on it and live in that `decide` call only.
+    difference, and the `record` of an element, one entry with its covers,
+    digit sum, rank, orbit and orbit size, when the counting prune first
+    walks it.  The candidate tops of a bottom, with the cells that sigma^p
+    fixes when its period p is below n, are built when a decision first
+    branches on it and live in that `decide` call only.
     Level and rank masks let the counting prune count by popcount and the
     candidates filter by rank and run in level order; the level masks,
     one per digit sum, come from doubling over the sub-box ("Levels by
@@ -393,7 +395,6 @@ class _Searcher:
                       for cells in _digit_sums(self._axes)] + [0]
         self._shapes = {0: 1}
         self._records: dict[int, tuple[int, int, int, int, int]] = {}
-        self._fixed: dict[int, int] = {}
         width = self.full_mask.bit_length()
         self.steps: list[tuple[int, int]] = []
         self.passes: list[tuple[int, int]] = []
@@ -518,16 +519,15 @@ class _Searcher:
         the cells whose digit j equals digit j + p, which are the k * R for
         k < d ** p, R = (d ** n - 1) // (d ** p - 1) having the digits
         0...01 repeated n // p times.  One doubling shift per bit of
-        d ** p; multiples of R past the top cell fall off with the mask."""
-        mask = self._fixed.get(p)
-        if mask is None:
-            d, n = self.poset.dims[0], self.poset.arity
-            step, count, mask = (d ** n - 1) // (d ** p - 1), 1, 1
-            while count < d ** p:
-                mask |= mask << step * count
-                count *= 2
-            mask = self._fixed[p] = mask & self.full_mask
-        return mask
+        d ** p; multiples of R past the top cell fall off with the mask.
+        Built anew for each candidate list that needs it, as each decision
+        builds the list of a bottom once."""
+        d, n = self.poset.dims[0], self.poset.arity
+        step, count, mask = (d ** n - 1) // (d ** p - 1), 1, 1
+        while count < d ** p:
+            mask |= mask << step * count
+            count *= 2
+        return mask & self.full_mask
 
     def minimal(self, mask: int) -> int:
         """The elements of `mask` that no other element of it divides: the
@@ -743,10 +743,8 @@ class _Searcher:
         """Largest s any partition could reach: each minimal poset element
         must start an interval, and by convexity its best top is the
         highest-ranked of its multiples.  When the corner g is an element
-        it is above every element, so the bound is n, read off one bit."""
+        it is a multiple of every element, so the bound stays n."""
         ub = self.poset.arity
-        if self.full_mask >> self.top & 1:
-            return ub
         for c in _cells(self.minimal(self.full_mask)):
             while not self.multiples(c) & ~self.rank_below[ub]:
                 ub -= 1
@@ -802,37 +800,34 @@ def verify_partition(poset: CharPoset, partition: IntervalPartition,
     """Independent certificate checker: interval containment in the poset,
     pairwise disjointness, exact cover, and min rank of tops >= s.  It
     calls nothing of the search: it reads the poset's element mask as it
-    reads its codes, tests each bottom and top against it by code after an
-    in-box test, takes each interval's cells as its own box mask shifted by
-    the bottom's code, and strikes them from the mask of the elements left
-    (module docstring, "Checking by masks").  The first failure is
-    reported, in interval order and within an interval in lex order of its
-    cells; an uncovered element is reported lex-least first."""
+    reads its codes, and after an in-box and rank test takes each
+    interval's cells as its own box mask shifted by the bottom's code and
+    strikes them from the mask of the elements left (module docstring,
+    "Checking by masks").  A struck cell that was not left fails the
+    interval; a bottom or top that is no element is reported first, as
+    the checks one at a time would.  The first failure is reported, in
+    interval order and within an interval in lex order of its cells; an
+    uncovered element is reported lex-least first."""
     g, lo, strides = poset.g, poset._lo, poset.strides
     n, origin = len(g), sum(map(operator.mul, lo, strides))
     elements = left = poset.mask
-    boxes: dict[tuple[int, ...], int] = {}
     for interval in partition:
         bottom, top = tuple(interval.bottom), tuple(interval.top)
-        # all checks at once: lo <= bottom <= top <= g, the codes of both
-        # name elements, and the top has rank >= s; on a failure they run
-        # again one at a time for the reason
+        # lo <= bottom <= top <= g and the top has rank >= s, all at once;
+        # on a failure the checks run again one at a time for the reason
         if not (len(bottom) == len(top) == n
                 and all(map(operator.le, lo + bottom + top, bottom + top + g))
-                and elements >> (
-                    base := sum(map(operator.mul, bottom, strides)) - origin) & 1
-                and elements >> (
-                    sum(map(operator.mul, top, strides)) - origin) & 1
                 and sum(map(operator.eq, top, g)) >= s):
             return CheckResult(False, _interval_failure(poset, bottom, top, s))
-        extent = tuple(map(operator.sub, top, bottom))
-        box = boxes.get(extent)
-        if box is None:
-            box = boxes[extent] = _box_mask(extent, strides)
-        cells = box << base
+        cells = _box_mask(map(operator.sub, top, bottom), strides) << (
+            sum(map(operator.mul, bottom, strides)) - origin)
         left ^= cells
         bad = left & cells  # the cells that were not left
         if bad:
+            # a bottom or top that is no element is one of them
+            if bottom not in poset or top not in poset:
+                return CheckResult(
+                    False, _interval_failure(poset, bottom, top, s))
             w = (bad & -bad).bit_length() - 1
             [cell] = poset.monomials([w])
             if not elements >> w & 1:

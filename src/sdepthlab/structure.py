@@ -153,10 +153,13 @@ def conjecture_sweep(n_values, k_values, *,
                      timeout_s: float = 60.0) -> list[SweepRow]:
     """Exact sdepth(m^k) across a grid, next to the conjectured value.
     Cells that exhaust their budget are reported with status 'timeout' and
-    the sweep continues."""
+    the sweep continues.  A cell whose sub-box [0, k]^n (for n >= 2) is
+    too large to index is refused before m^k is built, as in `mki_sweep`."""
     rows = []
     for n in sorted(set(n_values)):
         for k in sorted(set(k_values)):
+            if n > 1:
+                check_indexable((k + 1,) * n)
             bound = conjecture_bound(n, k)
             sdepth, status, ms, nodes = _timed_sdepth(maximal_power(n, k),
                                                       timeout_s)

@@ -602,22 +602,36 @@ print(code, time.perf_counter() - start)
 
 
 @pytest.mark.parametrize("command", [
-    ["sdepth"], ["quotient", "--input-j"], ["sat"], ["janet"], ["mki"],
-    ["remark17"]], ids=lambda command: command[0])
+    pytest.param(["sdepth", "--input", "CAP"], id="sdepth"),
+    pytest.param(["quotient", "--input-j", "CAP", "--input", "ONE"],
+                 id="quotient"),
+    pytest.param(["sat", "--input", "CAP"], id="sat"),
+    pytest.param(["janet", "--input", "CAP"], id="janet"),
+    pytest.param(["mki", "--input", "CAP"], id="mki"),
+    pytest.param(["remark17", "--input", "CAP"], id="remark17"),
+    pytest.param(["sat", "--input", "MAXIMAL"], id="sat-maximal-400"),
+    pytest.param(["conjecture", "--n-min", "40", "--n-max", "40",
+                  "--k-min", "4", "--k-max", "4"], id="conjecture-40-4")])
 def test_every_command_at_the_arity_cap_ends_within_a_second(tmp_path,
                                                              command):
-    """Each command that reads --input, on the one-line file x32767 (for
-    `quotient`, S/(x32767) with a file "1" as --input), exits 0 or 2
+    """Each command that reads --input, on the one-line file x32767 (CAP;
+    for `quotient`, S/(x32767) with a file "1" as --input), exits 0 or 2
     within 1 s.  `sat` folded 32,766 intersections of 32,767-tuples, and
     `mki` and `janet` did quadratic work before refusing a box of 2^32767
-    cells, each for 5 s to minutes.  The command runs in a child, so a
-    regression fails at the child's timeout instead of hanging the run."""
-    at_cap = _write(tmp_path / "cap.txt", f"x{DEFAULT_ARITY_CAP}\n")
-    if command[0] == "quotient":
-        command = [*command, at_cap, "--input", _write(tmp_path / "one.txt",
-                                                       "1\n")]
-    else:
-        command = [*command, "--input", at_cap]
+    cells, each for 5 s to minutes.  The same bound holds for `sat` on the
+    maximal ideal (x1, ..., x400) (MAXIMAL), whose per-variable
+    saturations are all the unit ideal and which folded 399 intersections
+    for about 12 s, and for a `conjecture` cell of m^4 in 40 variables,
+    whose 5^40-cell box it refused only after building m^4 for about
+    2.5 s.  The command runs in
+    a child, so a regression fails at the child's timeout instead of
+    hanging the run."""
+    files = {
+        "CAP": _write(tmp_path / "cap.txt", f"x{DEFAULT_ARITY_CAP}\n"),
+        "ONE": _write(tmp_path / "one.txt", "1\n"),
+        "MAXIMAL": _write(tmp_path / "maximal.txt", "".join(
+            f"x{j}\n" for j in range(1, 401)))}
+    command = [files.get(word, word) for word in command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"),
         os.environ.get("PYTHONPATH")])))

@@ -11,10 +11,8 @@ element indices, and `_to_cells` translates their masks."""
 
 import hashlib
 import itertools
-import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -292,40 +290,6 @@ def test_intrinsic_upper_bound(oracle_posets, small_sdepths):
         if i in small_sdepths:
             assert ub >= small_sdepths[i]
     assert len(small_sdepths) > 100
-
-
-def _bound_by_minimal_elements(searcher):
-    """`intrinsic_upper_bound` without its corner test: the loop over the
-    minimal elements alone."""
-    ub = searcher.poset.arity
-    for c in partitions._cells(searcher.minimal(searcher.full_mask)):
-        while not searcher.multiples(c) & ~searcher.rank_below[ub]:
-            ub -= 1
-    return ub
-
-
-def _pool_posets():
-    """The posets of the benchmark's quotient pool: S/J in 4 and 5
-    variables and I/J in 4."""
-    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                       / "quotient_pool.json").read_text(encoding="utf-8"))
-    return [build_poset(unit_ideal(q["n"]) if q["I"] is None
-                        else minimalize(q["I"], q["n"]),
-                        minimalize(q["J"], q["n"]))
-            for rows in pool.values() for q in rows]
-
-
-def test_upper_bound_from_the_corner_equals_the_loop(oracle_posets):
-    """When the corner g is an element the bound is n by one bit test; it
-    equals the minimal-element loop's value on the n <= 3 corpus and on the
-    quotient pool, corner or not."""
-    corners = 0
-    for p in oracle_posets + _pool_posets():
-        searcher = partitions._get_searcher(p)
-        assert (searcher.intrinsic_upper_bound()
-                == _bound_by_minimal_elements(searcher))
-        corners += p.g in p
-    assert corners > 100
 
 
 def _is_up_closed_walk(poset):

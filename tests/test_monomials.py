@@ -223,18 +223,28 @@ def _saturate_fold(ideal):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(*(st.integers(0, 3),) * n), max_size=5),
-    st.sets(st.integers(0, n - 1)))))
+    st.sets(st.integers(0, n - 1)),
+    st.dictionaries(st.integers(0, n - 1), st.integers(1, 3)))))
 def test_saturate_matches_the_fold_of_per_variable_saturations(case):
     """`saturate` returns I at once when a variable occurs in no
-    generator; the variables in `absent` are zeroed in every generator,
-    so about half the ideals leave one out.  Either way it equals the
-    fold, which then is I itself."""
-    n, gens, absent = case
-    ideal = minimalize([tuple(0 if j in absent else e
-                              for j, e in enumerate(g)) for g in gens], n)
+    generator, and skips the saturation by x_j when a generator is a pure
+    power of x_j.  The variables in `absent` are zeroed in every
+    generator, so about half the ideals leave one out, and `powers` adds
+    the pure power x_j^e for each of its items (j, e), so many ideals hold
+    one, some one per variable.  Either way it equals the fold, which is
+    I itself when a variable is left out and the unit ideal when every
+    variable has a pure power."""
+    n, gens, absent, powers = case
+    gens = [tuple(0 if j in absent else e for j, e in enumerate(g))
+            for g in gens]
+    gens += [tuple(e if i == j else 0 for i in range(n))
+             for j, e in powers.items()]
+    ideal = minimalize(gens, n)
     assert saturate(ideal) == _saturate_fold(ideal)
     if not all(map(any, zip(*ideal.generators))):
         assert saturate(ideal) == ideal
+    elif len(powers) == n:
+        assert saturate(ideal) == unit_ideal(n)
 
 
 def test_maximal_power():

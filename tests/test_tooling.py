@@ -12,7 +12,8 @@ sources must parse as the oldest Python the metadata allows, and they
 import nothing outside the standard library.  A search never touches the
 interpreter's recursion limit.  Every name README's library overview
 gives a module is still there.  Importing the package and its command line
-loads neither `dataclasses` nor `inspect`."""
+loads neither `dataclasses` nor `inspect`.  The certificate checker shares
+nothing with the search."""
 
 import ast
 import importlib
@@ -167,3 +168,35 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert done.stdout == "[]\n"
+
+
+def test_the_checker_names_nothing_of_the_search():
+    """The checker (`verify_partition`, `_interval_failure`, `_box_mask`
+    and `verify_certificate`) shares nothing with the solver: its syntax
+    trees name none of `_Searcher`, `_get_searcher`, the mask helpers
+    `_cells` and `_digit_sums` and the `_searcher` slot of a poset, and
+    read no attribute that `_Searcher` defines, its methods or what its
+    methods assign on `self`.  `top`, a field of the `Interval` that the
+    checker reads, is the one name the two share and is left out."""
+    source = Path(partitions.__file__).read_text(encoding="utf-8")
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    searcher = functions["_Searcher"]
+    defined = {node.name for node in searcher.body
+               if isinstance(node, ast.FunctionDef)}
+    defined |= {node.attr for node in ast.walk(searcher)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"}
+    assert {"decide", "full_mask", "multiples", "shape"} <= defined
+    defined -= set(partitions.Interval._fields)
+    banned = {"_Searcher", "_get_searcher", "_cells", "_digit_sums",
+              "_searcher"}
+    for name in ("verify_partition", "_interval_failure", "_box_mask",
+                 "verify_certificate"):
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                assert node.id not in banned, (name, node.id)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in banned | defined, (name, node.attr)
