@@ -8,7 +8,6 @@ ideals compare equal and serialize identically.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -193,22 +192,25 @@ def saturate_variable(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
 
 def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
     """Total saturation (I : m^infinity) as the intersection of the
-    per-variable saturations.  Zero saturates to zero, the unit ideal to
-    itself.  When a variable x_j occurs in no generator, (I : x_j^infinity)
-    is I, and the intersection lies between I and it, so it is I: the
-    intersections are folded only when every variable occurs.  When some
-    generator is a pure power of x_j, (I : x_j^infinity) is the unit ideal
-    and leaves the intersection as it is, so it is skipped; when every
-    variable has one, the saturation is the unit ideal."""
+    per-variable saturations, folded one at a time into the unit ideal.
+    Zero saturates to zero, the unit ideal to itself.  Every per-variable
+    saturation contains I, so once the fold reaches I it stays there, and
+    it stops.  When a variable x_j occurs in no generator,
+    (I : x_j^infinity) is I, so the saturation is I with no fold.  When
+    some generator is a pure power of x_j, (I : x_j^infinity) is the unit
+    ideal and leaves the fold as it is, so it is skipped; when every
+    variable has one, the fold stays the unit ideal."""
     n, gens = ideal.arity, ideal.generators
     if ideal.is_zero or not all(map(any, zip(*gens))):
         return ideal
     powers = {g.index(max(g)) for g in gens if g.count(0) == n - 1}
-    parts = [saturate_variable(ideal, j + 1) for j in range(n)
-             if j not in powers]
-    if not parts:
-        return unit_ideal(n)
-    return functools.reduce(ideal_intersection, parts)
+    result = unit_ideal(n)
+    for j in range(n):
+        if result == ideal:
+            break
+        if j not in powers:
+            result = ideal_intersection(result, saturate_variable(ideal, j + 1))
+    return result
 
 
 def maximal_power(arity: int, k: int) -> MonomialIdeal:

@@ -76,9 +76,10 @@ masks, and finds the minimal uncovered elements by shifts:
   it lies, and the ceiling cells of each axis are one periodic mask.  So
   the rank classes take one step per axis: with R_r the elements on
   exactly r of the ceilings so far, ceiling C makes the new R_r equal to
-  R_r & ~C | R_(r-1) & C.  An axis of side 1 puts every cell on its
-  ceiling and only shifts the classes up by one, so those axes add one
-  empty class each at the end, not a pass over all the classes each.
+  R_r & ~C | R_(r-1) & C.  The order of the axes does not matter, as each
+  step only counts one more ceiling.  An axis of side 1 puts every cell
+  on its ceiling and only shifts the classes up by one, so those axes add
+  one empty class each at the end, not a pass over all the classes each.
   The counting prune reads the rank of an element it walks off the
   digits of its code, the digits at the ceiling of their axis, so no
   Python loop runs over the elements for ranks.
@@ -87,19 +88,27 @@ masks, and finds the minimal uncovered elements by shifts:
   its digits, so the cells of one digit sum are those of one degree.
   They grow from cell 0, of digit sum 0, by doubling along each axis as
   the checker's box masks do, with each copy carrying its digit sum:
-  with L[k] the cells of digit sum k so far, a shift by `step` cells
+  with L[k] the cells of digit sum k so far, laying `step` more copies
   along an axis of stride t makes the new L[k] equal to L[k] | L[k -
   step] << step * t.  The shift carries nothing, as the copies stay
-  inside the side of the axis.  The step is min(copies, side - copies),
-  so on a side that is not a power of two the last step lays copies over
-  cells already there.  The OR still puts each cell in one class: a cell
-  comes from L[k] only if its digits sum to k, and from L[k - step] <<
-  step * t only if they sum to k - step before the shift adds step to one
-  digit, so to k again.  ANDed with the elements, L[k] is a level.  One
-  empty level at the end lets the counting prune read level[d + 1] with
-  no bound test at every digit sum d of a walked element, which it reads
-  off the digits of its code, so no Python loop runs over the elements
-  for levels either.
+  inside the side of the axis.  The doubling runs at the steps of the
+  axis's shift passes: with k = 1, 2, 4, ... < side copies laid so far,
+  the step is min(k, side - k), so on a side that is not a power of two
+  the last step lays copies over cells already there.  The OR still puts
+  each cell in one class: a cell comes from L[k] only if its digits sum
+  to k, and from L[k - step] << step * t only if they sum to k - step
+  before the shift adds step to one digit, so to k again.  ANDed with
+  the elements, L[k] is a level.  One empty level at the end lets the
+  counting prune read level[d + 1] with no bound test at every digit sum
+  d of a walked element, which it reads off the digits of its code, so
+  no Python loop runs over the elements for levels either.
+
+  One pass per axis.  The set-up visits each axis once, lowest stride
+  first: that visit builds the axis's ceiling mask, its shift passes,
+  its doubling of the levels and its step of the rank classes.  The
+  up-closure and the covers come out the same in any order of the axes,
+  and the axes are kept in that order, last axis first, for the Fibers
+  construction below.
 
   Memo in the parent.  The loop over the tops of a frame settles each
   child state before it opens a frame for it: it counts the child's node,
@@ -334,22 +343,6 @@ class StanleyDecomposition(namedtuple("StanleyDecomposition",
 _FAILED_MEMO_BYTES = 4 << 20
 
 
-def _digit_sums(axes) -> list[int]:
-    """sums[k]: the cells of a box whose digits sum to k, for the box with
-    these (stride, side) axes, by doubling along each axis ("Levels by
-    doubling" in the module docstring)."""
-    sums = [1]
-    for stride, dim in axes:
-        copies = 1
-        while copies < dim:
-            step = min(copies, dim - copies)
-            pad = [0] * step
-            sums = [low | high << step * stride
-                    for low, high in zip(sums + pad, pad + sums)]
-            copies += step
-    return sums
-
-
 def _cells(mask: int):
     """The cell codes of the set bits of `mask`, lowest first."""
     while mask:
@@ -358,48 +351,71 @@ def _cells(mask: int):
         mask ^= low
 
 
+def _variable_cycle(poset: CharPoset):
+    """The action on cell codes of x1 -> x2 -> ... -> xn -> x1 when it
+    maps the generators of I and of J and the corner g to themselves,
+    found in O(n |G|), and moves a cell; else None.  Then lo, the least
+    exponents of I, is fixed too, so every side of the sub-box has the
+    same length d, and (u1, ..., un) going to (un, u1, ..., un-1) moves
+    the last digit of a cell code to the front, of weight d ** (n - 1)."""
+    if poset.arity < 2 or not poset.codes or poset.dims[0] < 2:
+        return None
+    for gens in (poset.numerator.generators,
+                 poset.denominator.generators, (poset.g,)):
+        fixed = set(gens)
+        if any(u[-1:] + u[:-1] not in fixed for u in gens):
+            return None
+    d, lead = poset.dims[0], poset.strides[0]
+    return lambda c: c // d + c % d * lead
+
+
 class _Searcher:
     """Per-poset bitmask machinery shared by all decision calls;
-    `partition` settles one target on a deadline.
+    `partition` settles one target on a deadline and returns cell-code
+    pairs, which `exists_partition` decodes.
 
     Masks are over sub-box cell codes (module docstring); `full_mask` is
-    the poset's element mask (`CharPoset.mask`).  The set-up keeps masks
+    the poset's element mask (`CharPoset.mask`).  The searcher keeps that
+    mask, the poset's `codes` and its arity `n`, but not the poset: the
+    poset holds its searcher (`_get_searcher`) and nothing points back,
+    so both are freed by reference counting.  The set-up keeps masks
     only, none per element.  Kept when first used: shapes, by code
     difference, and the `record` of an element, one entry with its covers,
     digit sum, rank, orbit and orbit size, when the counting prune first
     walks it.  The candidate tops of a bottom, with the cells that sigma^p
     fixes when its period p is below n, are built when a decision first
     branches on it and live in that `decide` call only.
-    Level and rank masks let the counting prune count by popcount and the
-    candidates filter by rank and run in level order; the level masks,
-    one per digit sum, come from doubling over the sub-box ("Levels by
-    doubling"), and the rank masks from the ceiling masks ("Ranks by
-    ceilings"), with no loop over elements.  `passes`
-    holds the (shift, keep) pairs of the doubling passes of the
-    up-closure, `keep` the cells that the shift moves to an element
-    without carrying past the ceiling of its axis, and `steps` the
-    single-step pass of each axis, for `minimal` and `covers`.  `lines`
-    holds the stride, side, ceiling cells and passes of each axis, for
+    One pass over the axes, lowest first ("One pass per axis"), builds the
+    rest.  Level and rank masks let the counting prune count by popcount
+    and the candidates filter by rank and run in level order; the level
+    masks, one per digit sum, come from doubling over the sub-box
+    ("Levels by doubling"), and the rank masks from the ceiling masks
+    ("Ranks by ceilings"), with no loop over elements.  `passes` holds
+    the (shift, keep) pairs of the doubling passes of the up-closure,
+    `keep` the cells that the shift moves to an element without carrying
+    past the ceiling of its axis, and `steps` the single-step pass of
+    each axis, for `minimal` and `covers`.  `lines` holds the stride,
+    side, ceiling cells and passes of each axis, last axis first, for
     `fiber_partition`.  `cycle` is the action of the variable cycle on
     cell codes when it fixes the input and moves some cell, else None
-    (module docstring, "Invariant search").
+    (`_variable_cycle`; module docstring, "Invariant search").
     """
 
     def __init__(self, poset: CharPoset):
-        self.poset = poset
-        self.full_mask = poset.mask
+        self.full_mask = full = poset.mask
+        self.codes, self.n = poset.codes, poset.arity
         self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
         self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
-        # level[k]: elements of digit sum k ("Levels by doubling")
-        self.level = [cells & self.full_mask
-                      for cells in _digit_sums(self._axes)] + [0]
         self._shapes = {0: 1}
         self._records: dict[int, tuple[int, int, int, int, int]] = {}
-        width = self.full_mask.bit_length()
+        width = full.bit_length()
         self.steps: list[tuple[int, int]] = []
         self.passes: list[tuple[int, int]] = []
         self.lines: list[tuple[int, int, int, list[tuple[int, int]]]] = []
-        for stride, dim in zip(poset.strides, poset.dims):
+        # sums[k]: cells of digit sum k ("Levels by doubling"); ranks[r]:
+        # elements on exactly r ceilings ("Ranks by ceilings")
+        sums, ranks = [1], [full]
+        for stride, dim in self._axes:
             # one bit per block of stride * dim cells that share the digits
             # of the axes before this one
             repeat, span = 1, stride * dim
@@ -413,42 +429,25 @@ class _Searcher:
                 # the cells whose digit on this axis is below dim - k and
                 # that the shift by k steps takes to an element
                 shift = stride * k
-                keep = (((1 << stride * (dim - k)) - 1) * repeat
-                        & self.full_mask >> shift)
+                keep = ((1 << stride * (dim - k)) - 1) * repeat & full >> shift
                 axis_passes.append((shift, keep))
+                step = min(k, dim - k)
+                pad = [0] * step
+                sums = [low | high << step * stride
+                        for low, high in zip(sums + pad, pad + sums)]
                 k *= 2
-            self.passes += axis_passes
-            self.steps += axis_passes[:1]
-            self.lines.append((stride, dim, ceiling, axis_passes))
-        # ranks[r]: elements on exactly r ceilings ("Ranks by ceilings");
-        # rank_below[s]: elements of rank < s
-        ranks = [self.full_mask]
-        for _, dim, ceiling, _ in self.lines:
             if dim > 1:
                 ranks = [below & ~ceiling | on & ceiling
                          for below, on in zip(ranks + [0], [0] + ranks)]
-        ranks = [0] * poset.dims.count(1) + ranks
+            self.passes += axis_passes
+            self.steps += axis_passes[:1]
+            self.lines.append((stride, dim, ceiling, axis_passes))
+        # level[k]: elements of digit sum k; rank_below[s]: elements of
+        # rank < s, side-1 axes adding one empty class each
+        self.level = [cells & full for cells in sums] + [0]
         self.rank_below = list(itertools.accumulate(
-            ranks, operator.or_, initial=0))
-        self.cycle = self._variable_cycle()
-
-    def _variable_cycle(self):
-        """The action on cell codes of x1 -> x2 -> ... -> xn -> x1 when it
-        maps the generators of I and of J and the corner g to themselves,
-        found in O(n |G|), and moves a cell; else None.  Then lo, the least
-        exponents of I, is fixed too, so every side of the sub-box has the
-        same length d, and (u1, ..., un) going to (un, u1, ..., un-1) moves
-        the last digit of a cell code to the front, of weight d ** (n - 1)."""
-        poset = self.poset
-        if poset.arity < 2 or not poset.codes or poset.dims[0] < 2:
-            return None
-        for gens in (poset.numerator.generators,
-                     poset.denominator.generators, (poset.g,)):
-            fixed = set(gens)
-            if any(u[-1:] + u[:-1] not in fixed for u in gens):
-                return None
-        d, lead = poset.dims[0], poset.strides[0]
-        return lambda c: c // d + c % d * lead
+            [0] * poset.dims.count(1) + ranks, operator.or_, initial=0))
+        self.cycle = _variable_cycle(poset)
 
     def shape(self, d: int) -> int:
         """The box [0, d] as a mask, one shift per step ("Shifted shapes")."""
@@ -507,7 +506,7 @@ class _Searcher:
             for j in range(1, period // 2 + 1):
                 tops &= ~(self.multiples(images[j])
                           & self.multiples(images[-j]))
-            if period < self.poset.arity:
+            if period < self.n:
                 tops &= self.fixed(period)
         get = self._shapes.get  # a shape is never 0: `or` only on a miss
         return [(v, get(v - c) or self.shape(v - c))
@@ -518,11 +517,12 @@ class _Searcher:
         """The elements that sigma^p fixes, for a proper divisor p of n:
         the cells whose digit j equals digit j + p, which are the k * R for
         k < d ** p, R = (d ** n - 1) // (d ** p - 1) having the digits
-        0...01 repeated n // p times.  One doubling shift per bit of
+        0...01 repeated n // p times, d the side that every axis has under
+        a cycle (`_variable_cycle`).  One doubling shift per bit of
         d ** p; multiples of R past the top cell fall off with the mask.
         Built anew for each candidate list that needs it, as each decision
         builds the list of a bottom once."""
-        d, n = self.poset.dims[0], self.poset.arity
+        (_, d), n = self._axes[0], self.n
         step, count, mask = (d ** n - 1) // (d ** p - 1), 1, 1
         while count < d ** p:
             mask |= mask << step * count
@@ -701,11 +701,11 @@ class _Searcher:
 
     def fiber_partition(self) -> list[tuple[int, int]] | None:
         """A partition with every top of rank >= 1, or None when there is
-        none: from the last axis to the first, the elements left whose
-        line reaches the ceiling leave as runs (module docstring,
-        "Fibers")."""
+        none: from the last axis to the first, the order of `lines`, the
+        elements left whose line reaches the ceiling leave as runs (module
+        docstring, "Fibers")."""
         rest, out = self.full_mask, []
-        for stride, dim, ceiling, axis_passes in reversed(self.lines):
+        for stride, dim, ceiling, axis_passes in self.lines:
             reach = rest & ceiling
             for shift, keep in axis_passes:
                 reach |= reach >> shift & keep & rest
@@ -715,36 +715,32 @@ class _Searcher:
         return None if rest else out
 
     def partition(self, s: int, deadline: float,
-                  stats: SearchStats) -> IntervalPartition | None:
-        """A partition with every top of rank >= s, or None when there is
-        none: singletons at s = 0, fibers at s = 1, and above that the
-        orbit search, then the plain search on the same deadline unless
-        the counting prune refuted the orbit search's root, which it did
-        iff that search made one node and one prune (module docstring,
-        "Invariant search").  An empty poset gets the empty partition."""
+                  stats: SearchStats) -> list[tuple[int, int]] | None:
+        """The (bottom, top) cell-code pairs of a partition with every top
+        of rank >= s, or None when there is none: singletons at s = 0,
+        fibers at s = 1, and above that the orbit search, then the plain
+        search on the same deadline unless the counting prune refuted the
+        orbit search's root, which it did iff that search made one node
+        and one prune (module docstring, "Invariant search").  An empty
+        poset gets no pairs.  The searcher holds no poset, so
+        `exists_partition` decodes the pairs."""
         if s == 0:
-            pairs = [(c, c) for c in self.poset.codes]
-        elif s == 1:
-            pairs = self.fiber_partition()
-        else:
-            nodes, prunes = stats.nodes, stats.prunes
-            pairs = self.decide(s, deadline, stats, self.cycle)
-            if (pairs is None and self.cycle is not None
-                    and (stats.nodes - nodes, stats.prunes - prunes) != (1, 1)):
-                pairs = self.decide(s, deadline, stats)
-        if pairs is None:
-            return None
-        decode = self.poset.monomials
-        return IntervalPartition(tuple(map(
-            Interval, decode([u for u, _ in pairs]),
-            decode([v for _, v in pairs]))))
+            return [(c, c) for c in self.codes]
+        if s == 1:
+            return self.fiber_partition()
+        nodes, prunes = stats.nodes, stats.prunes
+        pairs = self.decide(s, deadline, stats, self.cycle)
+        if (pairs is None and self.cycle is not None
+                and (stats.nodes - nodes, stats.prunes - prunes) != (1, 1)):
+            pairs = self.decide(s, deadline, stats)
+        return pairs
 
     def intrinsic_upper_bound(self) -> int:
         """Largest s any partition could reach: each minimal poset element
         must start an interval, and by convexity its best top is the
         highest-ranked of its multiples.  When the corner g is an element
         it is a multiple of every element, so the bound stays n."""
-        ub = self.poset.arity
+        ub = self.n
         for c in _cells(self.minimal(self.full_mask)):
             while not self.multiples(c) & ~self.rank_below[ub]:
                 ub -= 1
@@ -762,6 +758,8 @@ def _get_searcher(poset: CharPoset) -> _Searcher:
 def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
                      stats: SearchStats | None = None) -> IntervalPartition | None:
     """Exact decision: a partition with every top of rank >= s, or None.
+    The poset's searcher finds cell-code pairs, and this call decodes
+    them by the poset (`CharPoset.monomials`) into the intervals.
 
     Raises SearchTimeout when the budget runs out, which is reported
     distinctly from infeasibility; a call with no budget left raises it
@@ -776,8 +774,14 @@ def exists_partition(poset: CharPoset, s: int, *, timeout_s: float = 60.0,
         stats = SearchStats()
     if timeout_s <= 0:
         raise SearchTimeout(f"time ran out with target {s} open", stats)
-    return _get_searcher(poset).partition(s, time.monotonic() + timeout_s,
-                                          stats)
+    pairs = _get_searcher(poset).partition(s, time.monotonic() + timeout_s,
+                                           stats)
+    if pairs is None:
+        return None
+    decode = poset.monomials
+    return IntervalPartition(tuple(map(
+        Interval, decode([u for u, _ in pairs]),
+        decode([v for _, v in pairs]))))
 
 
 def _box_mask(extent, strides) -> int:

@@ -244,8 +244,7 @@ MKI_CSV_HEADER = "k,num_gens,sdepth,status,ms,nodes"
 
 
 class ComparisonReport(namedtuple(
-        "ComparisonReport", "sdepth_ideal sdepth_quotient inequality_holds "
-        "ideal_certificate quotient_certificate")):
+        "ComparisonReport", "sdepth_ideal sdepth_quotient inequality_holds")):
     """Exploratory comparison of sdepth(I) against sdepth(S/I) + 1.  The
     inequality is an open question; this reports, it does not assert."""
 
@@ -255,11 +254,11 @@ class ComparisonReport(namedtuple(
 def ideal_vs_quotient_report(ideal: MonomialIdeal, *,
                              timeout_s: float = 60.0) -> ComparisonReport:
     """Compute sdepth(I) and sdepth(S/I) exactly and report whether
-    sdepth(I) >= sdepth(S/I) + 1 held for this ideal."""
+    sdepth(I) >= sdepth(S/I) + 1 held for this ideal.  Only the two values
+    are kept, so the first poset is freed before the second is built."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a proper nonzero ideal")
-    cert_i = sdepth_ideal(ideal, timeout_s=timeout_s)
-    cert_q = sdepth_quotient(unit_ideal(ideal.arity), ideal,
-                             timeout_s=timeout_s)
-    return ComparisonReport(cert_i.s, cert_q.s, cert_i.s >= cert_q.s + 1,
-                            cert_i, cert_q)
+    s_ideal = sdepth_ideal(ideal, timeout_s=timeout_s).s
+    s_quotient = sdepth_quotient(unit_ideal(ideal.arity), ideal,
+                                 timeout_s=timeout_s).s
+    return ComparisonReport(s_ideal, s_quotient, s_ideal >= s_quotient + 1)

@@ -610,6 +610,7 @@ print(code, time.perf_counter() - start)
     pytest.param(["mki", "--input", "CAP"], id="mki"),
     pytest.param(["remark17", "--input", "CAP"], id="remark17"),
     pytest.param(["sat", "--input", "MAXIMAL"], id="sat-maximal-400"),
+    pytest.param(["sat", "--input", "PRINCIPAL"], id="sat-principal-2000"),
     pytest.param(["conjecture", "--n-min", "40", "--n-max", "40",
                   "--k-min", "4", "--k-max", "4"], id="conjecture-40-4")])
 def test_every_command_at_the_arity_cap_ends_within_a_second(tmp_path,
@@ -621,16 +622,19 @@ def test_every_command_at_the_arity_cap_ends_within_a_second(tmp_path,
     cells, each for 5 s to minutes.  The same bound holds for `sat` on the
     maximal ideal (x1, ..., x400) (MAXIMAL), whose per-variable
     saturations are all the unit ideal and which folded 399 intersections
-    for about 12 s, and for a `conjecture` cell of m^4 in 40 variables,
-    whose 5^40-cell box it refused only after building m^4 for about
-    2.5 s.  The command runs in
-    a child, so a regression fails at the child's timeout instead of
-    hanging the run."""
+    for about 12 s, for `sat` on the principal x1*...*x2000 (PRINCIPAL),
+    whose fold is the ideal itself after two saturations and which folded
+    all 2,000 for about 2 s, and for a `conjecture` cell of m^4 in 40
+    variables, whose 5^40-cell box it refused only after building m^4 for
+    about 2.5 s.  The command runs in a child, so a regression fails at
+    the child's timeout instead of hanging the run."""
     files = {
         "CAP": _write(tmp_path / "cap.txt", f"x{DEFAULT_ARITY_CAP}\n"),
         "ONE": _write(tmp_path / "one.txt", "1\n"),
         "MAXIMAL": _write(tmp_path / "maximal.txt", "".join(
-            f"x{j}\n" for j in range(1, 401)))}
+            f"x{j}\n" for j in range(1, 401))),
+        "PRINCIPAL": _write(tmp_path / "principal.txt", "*".join(
+            f"x{j}" for j in range(1, 2001)) + "\n")}
     command = [files.get(word, word) for word in command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"),

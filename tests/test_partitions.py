@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import math
 import operator
@@ -7,6 +8,7 @@ import random
 import sys
 import time
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -789,6 +791,29 @@ def test_verify_partition_builds_no_search_machinery():
     assert not verify_partition(fresh, IntervalPartition(
         cert.partition.intervals[1:]), cert.s)
     assert not hasattr(fresh, "_searcher")
+
+
+def test_posets_are_freed_by_reference_counting():
+    """A poset and its searcher form no reference cycle: with the cyclic
+    collector off, the poset of an sdepth certificate of m in 4 variables
+    and a poset handed to `exists_partition` die, searcher and caches
+    with them, as soon as their last reference is dropped."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cert = sdepth_ideal(maximal_power(4, 1))
+        certified = weakref.ref(cert.poset)
+        poset = maximal_power_poset(4, 2)
+        assert exists_partition(poset, 2) is not None
+        decided = weakref.ref(poset)
+        assert hasattr(certified(), "_searcher") and hasattr(poset, "_searcher")
+        del cert
+        assert certified() is None
+        del poset
+        assert decided() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_brute_force_agreement_on_power_posets():
