@@ -3,6 +3,8 @@
 Keys are SHA-256 hashes over a canonical JSON encoding of the command, the
 inputs and the engine version, so entries survive re-serialization of the
 same ideal but not engine changes.  Writes are atomic (temp file + rename).
+A record holds the key and the payload only, so its bytes depend on them
+alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 
 
 def content_key(payload: dict) -> str:
@@ -43,7 +44,7 @@ class ResultCache:
         return record["payload"]
 
     def store(self, key: str, payload) -> None:
-        record = {"key": key, "payload": payload, "created_unix": time.time()}
+        record = {"key": key, "payload": payload}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -213,6 +213,13 @@ def _ideal_hash(numerator: MonomialIdeal, denominator: MonomialIdeal,
     })
 
 
+def _ideal_document(schema: str, ideal: MonomialIdeal, **fields) -> dict:
+    """A document about one ideal: its schema, the engine, n and the ideal,
+    then `fields` in order."""
+    return {"schema": schema, "engine": ENGINE_VERSION, "n": ideal.arity,
+            "ideal": ideal_to_structured(ideal), **fields}
+
+
 def certificate_document(cert: SdepthCertificate) -> dict:
     poset = cert.poset
     return {
@@ -362,16 +369,12 @@ def cmd_sat(args: argparse.Namespace) -> int:
 
     def compute():
         report = ideal_saturation_report(ideal)
-        return {
-            "schema": "saturation-report@1",
-            "engine": ENGINE_VERSION,
-            "n": ideal.arity,
-            "ideal": ideal_to_structured(report.ideal),
-            "saturation": ideal_to_structured(report.saturation),
-            "is_saturated": report.is_saturated,
-            "witness": list(report.witness) if report.witness else None,
-            "sdepth_zero_quotient": not report.is_saturated,
-        }
+        return _ideal_document(
+            "saturation-report@1", report.ideal,
+            saturation=ideal_to_structured(report.saturation),
+            is_saturated=report.is_saturated,
+            witness=list(report.witness) if report.witness else None,
+            sdepth_zero_quotient=not report.is_saturated)
 
     document = _cached(args, [ideal], compute)
     witness = document["witness"]
@@ -401,16 +404,12 @@ def cmd_janet(args: argparse.Namespace) -> int:
                                          decomposition, cap)
     if not check:
         raise InternalVerificationError(check.reason)
-    document = {
-        "schema": "janet-decomposition@1",
-        "engine": ENGINE_VERSION,
-        "n": ideal.arity,
-        "ideal": ideal_to_structured(ideal),
-        "spaces": [{"monomial": list(m), "variables": sorted(z)}
-                   for m, z in decomposition.spaces],
-        "sdepth": decomposition.sdepth,
-        "verified": True,
-    }
+    document = _ideal_document(
+        "janet-decomposition@1", ideal,
+        spaces=[{"monomial": list(m), "variables": sorted(z)}
+                for m, z in decomposition.spaces],
+        sdepth=decomposition.sdepth,
+        verified=True)
     summary = [f"S/I decomposes into {len(decomposition.spaces)} Stanley spaces "
                f"(degreewise checked up to {cap}):"]
     summary += ["  " + _space_str(m, z) for m, z in decomposition.spaces]
@@ -440,30 +439,25 @@ def _span(low: int, high: int, name: str) -> range:
     return range(low, high + 1)
 
 
-def cmd_conjecture(args: argparse.Namespace) -> int:
-    n_values = _span(args.n_min, args.n_max, "n")
-    k_values = _span(args.k_min, args.k_max, "k")
-
-    def compute():
-        rows = conjecture_sweep(n_values, k_values, timeout_s=args.timeout)
-        return rows_to_csv(SweepRow, rows)
-
-    document = _cached(args, [], compute)
+def _emit_rows(args: argparse.Namespace, ideals, row_type, sweep) -> int:
+    """Run `sweep(timeout_s=...)`, which returns rows of `row_type`, through
+    the cache to CSV, and emit the CSV, one summary line per CSV line."""
+    document = _cached(args, ideals, lambda: rows_to_csv(
+        row_type, sweep(timeout_s=args.timeout)))
     _emit(args, document, document.rstrip("\n").splitlines())
     return 0
+
+
+def cmd_conjecture(args: argparse.Namespace) -> int:
+    return _emit_rows(args, [], SweepRow, functools.partial(
+        conjecture_sweep, _span(args.n_min, args.n_max, "n"),
+        _span(args.k_min, args.k_max, "k")))
 
 
 def cmd_mki(args: argparse.Namespace) -> int:
     [ideal] = _load_ideals(args)
-    k_values = _span(args.k_min, args.k_max, "k")
-
-    def compute():
-        rows = mki_sweep(ideal, k_values, timeout_s=args.timeout)
-        return rows_to_csv(MkiRow, rows)
-
-    document = _cached(args, [ideal], compute)
-    _emit(args, document, document.rstrip("\n").splitlines())
-    return 0
+    return _emit_rows(args, [ideal], MkiRow, functools.partial(
+        mki_sweep, ideal, _span(args.k_min, args.k_max, "k")))
 
 
 def cmd_remark17(args: argparse.Namespace) -> int:
@@ -471,15 +465,8 @@ def cmd_remark17(args: argparse.Namespace) -> int:
 
     def compute():
         report = ideal_vs_quotient_report(ideal, timeout_s=args.timeout)
-        return {
-            "schema": "sdepth-comparison@1",
-            "engine": ENGINE_VERSION,
-            "n": ideal.arity,
-            "ideal": ideal_to_structured(ideal),
-            "sdepth_ideal": report.sdepth_ideal,
-            "sdepth_quotient": report.sdepth_quotient,
-            "inequality_holds": report.inequality_holds,
-        }
+        return _ideal_document("sdepth-comparison@1", ideal,
+                               **report._asdict())
 
     document = _cached(args, [ideal], compute)
     _emit(args, document, [

@@ -44,24 +44,24 @@ def as_monomial(exponents, arity: int | None = None) -> Monomial:
     return m
 
 
-def _check_same_arity(u: Monomial, v: Monomial) -> None:
-    if len(u) != len(v):
-        raise ArityMismatch(f"arity mismatch: {len(u)} vs {len(v)}")
+def _check_arity(a: int, b: int) -> None:
+    if a != b:
+        raise ArityMismatch(f"arity mismatch: {a} vs {b}")
 
 
 def divides(u: Monomial, v: Monomial) -> bool:
     """True iff u | v, i.e. u_j <= v_j for every coordinate."""
-    _check_same_arity(u, v)
+    _check_arity(len(u), len(v))
     return all(a <= b for a, b in zip(u, v))
 
 
 def lcm(u: Monomial, v: Monomial) -> Monomial:
-    _check_same_arity(u, v)
+    _check_arity(len(u), len(v))
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
 def mul(u: Monomial, v: Monomial) -> Monomial:
-    _check_same_arity(u, v)
+    _check_arity(len(u), len(v))
     return tuple(a + b for a, b in zip(u, v))
 
 
@@ -156,24 +156,18 @@ def unit_ideal(arity: int) -> MonomialIdeal:
 
 def contains(ideal: MonomialIdeal, u: Monomial) -> bool:
     """Membership test: true iff some generator divides u."""
-    if len(u) != ideal.arity:
-        raise ArityMismatch(f"arity mismatch: {len(u)} vs {ideal.arity}")
+    _check_arity(len(u), ideal.arity)
     return any(divides(g, u) for g in ideal.generators)
 
 
-def _check_ideal_arity(i: MonomialIdeal, j: MonomialIdeal) -> None:
-    if i.arity != j.arity:
-        raise ArityMismatch(f"arity mismatch: {i.arity} vs {j.arity}")
-
-
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_ideal_arity(i, j)
+    _check_arity(i.arity, j.arity)
     gens = [mul(f, g) for f in i.generators for g in j.generators]
     return minimalize(gens, i.arity)
 
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_ideal_arity(i, j)
+    _check_arity(i.arity, j.arity)
     gens = [lcm(f, g) for f in i.generators for g in j.generators]
     return minimalize(gens, i.arity)
 
@@ -246,7 +240,7 @@ class QuotientPresentation(namedtuple("QuotientPresentation",
     __slots__ = ()
 
     def __new__(cls, numerator: MonomialIdeal, denominator: MonomialIdeal):
-        _check_ideal_arity(numerator, denominator)
+        _check_arity(numerator.arity, denominator.arity)
         for v in denominator.generators:
             if not contains(numerator, v):
                 raise ValueError(

@@ -106,9 +106,11 @@ masks, and finds the minimal uncovered elements by shifts:
   One pass per axis.  The set-up visits each axis once, lowest stride
   first: that visit builds the axis's ceiling mask, its shift passes,
   its doubling of the levels and its step of the rank classes.  The
-  up-closure and the covers come out the same in any order of the axes,
-  and the axes are kept in that order, last axis first, for the Fibers
-  construction below.
+  up-closure and the covers come out the same in any order of the axes.
+  Each visit leaves one row of the per-axis table `lines`, kept in that
+  order, last axis first, for the Fibers construction below; the passes,
+  the shapes and the digits of a walked element are read off the same
+  rows.
 
   Memo in the parent.  The loop over the tops of a frame settles each
   child state before it opens a frame for it: it counts the child's node,
@@ -231,6 +233,7 @@ calls nothing of the search:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import sys
 import time
@@ -390,32 +393,31 @@ class _Searcher:
     and the candidates filter by rank and run in level order; the level
     masks, one per digit sum, come from doubling over the sub-box
     ("Levels by doubling"), and the rank masks from the ceiling masks
-    ("Ranks by ceilings"), with no loop over elements.  `passes` holds
-    the (shift, keep) pairs of the doubling passes of the up-closure,
-    `keep` the cells that the shift moves to an element without carrying
-    past the ceiling of its axis, and `steps` the single-step pass of
-    each axis, for `minimal` and `covers`.  `lines` holds the stride,
-    side, ceiling cells and passes of each axis, last axis first, for
-    `fiber_partition`.  `cycle` is the action of the variable cycle on
-    cell codes when it fixes the input and moves some cell, else None
-    (`_variable_cycle`; module docstring, "Invariant search").
+    ("Ranks by ceilings"), with no loop over elements.  `lines` is the
+    one per-axis table, a row per axis, last axis first: the stride, the
+    side, the ceiling cells and the (shift, keep) pairs of the doubling
+    passes of the up-closure, `keep` the cells that the shift moves to an
+    element without carrying past the ceiling of its axis.  `shape`,
+    `record`, `fixed` and `fiber_partition` read it, and `passes`, every
+    pair, and `steps`, the single-step pair of each axis, are read off it
+    after the pass, for `minimal` and `covers`.  `cycle` is the action of
+    the variable cycle on cell codes when it fixes the input and moves
+    some cell, else None (`_variable_cycle`; module docstring, "Invariant
+    search").
     """
 
     def __init__(self, poset: CharPoset):
         self.full_mask = full = poset.mask
         self.codes, self.n = poset.codes, poset.arity
-        self._axes = tuple(zip(poset.strides[::-1], poset.dims[::-1]))  # lowest first
-        self.top = sum((dim - 1) * st for st, dim in self._axes)  # code of g
+        self.top = math.prod(poset.dims) - 1  # code of g, the last cell
         self._shapes = {0: 1}
         self._records: dict[int, tuple[int, int, int, int, int]] = {}
         width = full.bit_length()
-        self.steps: list[tuple[int, int]] = []
-        self.passes: list[tuple[int, int]] = []
         self.lines: list[tuple[int, int, int, list[tuple[int, int]]]] = []
         # sums[k]: cells of digit sum k ("Levels by doubling"); ranks[r]:
         # elements on exactly r ceilings ("Ranks by ceilings")
         sums, ranks = [1], [full]
-        for stride, dim in self._axes:
+        for stride, dim in zip(poset.strides[::-1], poset.dims[::-1]):
             # one bit per block of stride * dim cells that share the digits
             # of the axes before this one
             repeat, span = 1, stride * dim
@@ -439,9 +441,9 @@ class _Searcher:
             if dim > 1:
                 ranks = [below & ~ceiling | on & ceiling
                          for below, on in zip(ranks + [0], [0] + ranks)]
-            self.passes += axis_passes
-            self.steps += axis_passes[:1]
             self.lines.append((stride, dim, ceiling, axis_passes))
+        self.passes = [pair for *_, pairs in self.lines for pair in pairs]
+        self.steps = [pairs[0] for *_, pairs in self.lines if pairs]
         # level[k]: elements of digit sum k; rank_below[s]: elements of
         # rank < s, side-1 axes adding one empty class each
         self.level = [cells & full for cells in sums] + [0]
@@ -453,7 +455,7 @@ class _Searcher:
         """The box [0, d] as a mask, one shift per step ("Shifted shapes")."""
         chain = []
         while d not in self._shapes:
-            for stride, dim in self._axes:
+            for stride, dim, _, _ in self.lines:
                 if d // stride % dim:
                     break
             chain.append((d, stride))
@@ -478,7 +480,7 @@ class _Searcher:
         orbit is the mask of the images of c under `cycle`, or the bit of c
         alone when there is no cycle."""
         total = rank = 0
-        for stride, dim in self._axes:
+        for stride, dim, _, _ in self.lines:
             digit = c // stride % dim
             total += digit
             rank += digit == dim - 1
@@ -518,11 +520,12 @@ class _Searcher:
         the cells whose digit j equals digit j + p, which are the k * R for
         k < d ** p, R = (d ** n - 1) // (d ** p - 1) having the digits
         0...01 repeated n // p times, d the side that every axis has under
-        a cycle (`_variable_cycle`).  One doubling shift per bit of
-        d ** p; multiples of R past the top cell fall off with the mask.
+        a cycle (`_variable_cycle`), read off the first row of `lines`.
+        One doubling shift per bit of d ** p; multiples of R past the top
+        cell fall off with the mask.
         Built anew for each candidate list that needs it, as each decision
         builds the list of a bottom once."""
-        (_, d), n = self._axes[0], self.n
+        d, n = self.lines[0][1], self.n
         step, count, mask = (d ** n - 1) // (d ** p - 1), 1, 1
         while count < d ** p:
             mask |= mask << step * count
@@ -908,6 +911,10 @@ def sdepth_poset(poset: CharPoset, *,
     deadline, and SearchTimeout names the open target and carries the
     counters of every target of the scan.  `sdepth_quotient` passes what
     the poset build left of its budget.
+
+    Once the scan has its partition, the poset drops its searcher, so a
+    certificate held afterwards keeps none of the search's masks and
+    caches alive.
     """
     deadline = time.monotonic() + timeout_s
     if len(poset) == 0:
@@ -927,6 +934,7 @@ def sdepth_poset(poset: CharPoset, *,
             break
     else:
         raise AssertionError("target 0 is always feasible on a nonempty poset")
+    del poset._searcher
     check = verify_certificate(poset, partition, s)
     if not check:
         raise InternalVerificationError(check.reason)

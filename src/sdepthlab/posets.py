@@ -44,24 +44,19 @@ from .monomials import (
 )
 
 
-def _binom(a: int, b: int) -> int:
-    """Binomial coefficient, zero when a < b or a < 0."""
-    if a < 0 or b < 0 or a < b:
-        return 0
-    return math.comb(a, b)
-
-
 def alpha_formula(n: int, k: int, d: int) -> int:
     """Closed-form count of degree-d monomials dividing (x1...xn)^k with
-    degree at least k: an alternating sum over how many coordinates are
-    forced past the ceiling."""
+    degree at least k: an alternating sum over the number i of coordinates
+    forced past the ceiling, C(n, i) * C(n + d - i(k+1) - 1, n - 1).  The
+    second factor counts degree-(d - i(k+1)) monomials, so it is nonzero
+    only for i <= d // (k+1), and the sum stops there."""
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if not k <= d <= k * n:
         raise ValueError(f"degree {d} outside range [{k}, {k * n}]")
     total = 0
-    for i in range(n + 1):
-        term = _binom(n, i) * _binom(n + d - i * (k + 1) - 1, n - 1)
+    for i in range(min(n, d // (k + 1)) + 1):
+        term = math.comb(n, i) * math.comb(n + d - i * (k + 1) - 1, n - 1)
         total += term if i % 2 == 0 else -term
     return total
 

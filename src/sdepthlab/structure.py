@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from collections import namedtuple
 
@@ -123,21 +124,20 @@ def conjecture_bound(n: int, k: int) -> int:
     return -(-n // (k + 1))
 
 
-def _alpha_or_zero(n: int, k: int, d: int) -> int:
-    return alpha_formula(n, k, d) if k <= d <= k * n else 0
-
-
 def check_counting_inequality(n: int, k: int, a: int) -> bool:
     """True iff the degree-(k+1) level of the m^k poset is too small to
     host a partition with all top ranks >= a+1, i.e. iff
 
         alpha_{k+1} >= n*a + (alpha_k - n)*(a + 1)
 
-    FAILS.  A failure certifies sdepth(m^k) <= a."""
+    FAILS.  A failure certifies sdepth(m^k) <= a.  No monomial of degree
+    k has an exponent above k, so alpha_k = C(n+k-1, k) counts them all;
+    at degree k+1 only the n pure powers x_j^(k+1) have one, so
+    alpha_{k+1} = C(n+k, k+1) - n, which is 0 for n = 1."""
     if n < 1 or k < 1 or a < 1:
         raise ValueError("need n, k, a >= 1")
-    alpha_k = _alpha_or_zero(n, k, k)
-    alpha_next = _alpha_or_zero(n, k, k + 1)
+    alpha_k = math.comb(n + k - 1, k)
+    alpha_next = math.comb(n + k, k + 1) - n
     return alpha_next < n * a + (alpha_k - n) * (a + 1)
 
 

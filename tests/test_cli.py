@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sdepthlab
 from sdepthlab import cli, partitions, sdepth_ideal
+from sdepthlab.cache import ResultCache
 from sdepthlab.cli import _ideal_hash, build_parser, main
 from sdepthlab.formats import IdealParseError, ideal_to_structured, parse_ideal
 from sdepthlab.monomials import (
@@ -726,6 +727,18 @@ def test_cache_ignores_corrupt_entries(tmp_path, m5_file):
         assert main(["sdepth", "--input", m5_file, "--cache", str(cache),
                      "--out", str(fresh)]) == 0
         assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_cache_file_depends_only_on_key_and_payload(tmp_path):
+    """Storing one payload twice under one key writes the same bytes: a
+    record carries no time stamp or other state of the run."""
+    cache = ResultCache(str(tmp_path))
+    key, payload = "k" * 64, {"s": 3, "rows": [[1, 2], [3, 4]]}
+    cache.store(key, payload)
+    first = (tmp_path / f"{key}.json").read_bytes()
+    cache.store(key, payload)
+    assert (tmp_path / f"{key}.json").read_bytes() == first
+    assert cache.load(key) == payload
 
 
 def test_cache_key_is_derived_from_the_parsed_arguments(tmp_path, capsys):

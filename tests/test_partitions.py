@@ -795,9 +795,10 @@ def test_verify_partition_builds_no_search_machinery():
 
 def test_posets_are_freed_by_reference_counting():
     """A poset and its searcher form no reference cycle: with the cyclic
-    collector off, the poset of an sdepth certificate of m in 4 variables
-    and a poset handed to `exists_partition` die, searcher and caches
-    with them, as soon as their last reference is dropped."""
+    collector off, the poset of an sdepth certificate of m in 4 variables,
+    which the scan leaves without its searcher, and a poset handed to
+    `exists_partition` die, searcher and caches with them, as soon as
+    their last reference is dropped."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -806,7 +807,8 @@ def test_posets_are_freed_by_reference_counting():
         poset = maximal_power_poset(4, 2)
         assert exists_partition(poset, 2) is not None
         decided = weakref.ref(poset)
-        assert hasattr(certified(), "_searcher") and hasattr(poset, "_searcher")
+        assert not hasattr(certified(), "_searcher")
+        assert hasattr(poset, "_searcher")
         del cert
         assert certified() is None
         del poset
@@ -814,6 +816,25 @@ def test_posets_are_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_certificate_keeps_no_search_caches():
+    """The scan drops the poset's searcher once it has its partition, so a
+    certificate held after the search keeps the poset and its intervals,
+    not the shapes and records the search cached: for m in 12 variables
+    (4,095 elements) it held 835 kB with them, about 233 kB without, on
+    CPython 3.11."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert = sdepth_ideal(maximal_power(12, 1))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert cert.s == 6 and len(cert.poset) == 4095
+    assert held < 100 * len(cert.poset)
 
 
 def test_brute_force_agreement_on_power_posets():

@@ -13,7 +13,8 @@ import nothing outside the standard library.  A search never touches the
 interpreter's recursion limit.  Every name README's library overview
 gives a module is still there.  Importing the package and its command line
 loads neither `dataclasses` nor `inspect`.  The certificate checker shares
-nothing with the search."""
+nothing with the search.  The code-line counter behind ROADMAP's figure
+counts what it says it counts."""
 
 import ast
 import importlib
@@ -29,6 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import code_lines
 import sdepthlab
 from sdepthlab import (
     ENGINE_VERSION,
@@ -200,3 +202,44 @@ def test_the_checker_names_nothing_of_the_search():
                 assert node.id not in banned, (name, node.id)
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in banned | defined, (name, node.attr)
+
+
+_COUNTED = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+TEXT = """a string that is
+no docstring"""
+
+
+class Box:
+    """A class docstring."""
+
+    side = 1
+
+
+def join(a,
+         b):
+    """A function docstring,
+    over two lines."""
+    # a comment line
+    return os.path.join(a,
+                        b)
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path, capsys):
+    """`tests/code_lines.py` counts the lines that hold a token other than
+    a comment, less docstring lines: of the snippet, the import, both
+    lines of the string assignment, `class`, `side = 1`, and both lines of
+    the wrapped `def` and of the wrapped call, 9 lines.  Run on a folder,
+    it prints each file's count and the total."""
+    assert code_lines.code_lines(_COUNTED) == 9
+    (tmp_path / "a.py").write_text(_COUNTED, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
+    assert code_lines.main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["9", "1", "10"]
+    assert out[-1].split()[1] == "total"
